@@ -18,9 +18,12 @@
 //!   need both an H2 and an H3 connection in H3 mode — the
 //!   connection-splitting effect behind the paper's Fig. 7 reuse gap.
 //!
-//! [`visit::visit_page`] assembles the network (per-domain edge paths
-//! from the vantage profile, client access-link rates, optional `tc`-
-//! style loss), runs the event loop to quiescence, and returns the HAR.
+//! [`visit::visit_page`] is the one-client [`swarm`]: the swarm driver
+//! assembles the network (per-domain edge paths from the vantage
+//! profile, client access-link rates, optional `tc`-style loss), runs
+//! the event loop to quiescence, and the visit returns the lone
+//! client's HAR. [`swarm::run_swarm`] runs many clients on the same
+//! driver against shared, optionally finite, edges.
 //!
 //! [`TicketStore`]: h3cdn_transport::tls::TicketStore
 

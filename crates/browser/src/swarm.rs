@@ -1,32 +1,33 @@
-//! Many concurrent simulated browsers against shared, finite edges.
+//! Many concurrent simulated browsers against shared, finite edges —
+//! and the one fabric builder every visit runs on.
 //!
-//! A solo [`crate::visit_page`] gives every client its own copy of the
-//! server side; overload never happens by construction. The swarm
-//! drives `clients` browsers — staggered arrivals, one visit each of
-//! the same page — against **one** [`crate::server::ServerHost`] per
-//! domain, optionally governed by a finite-resource
+//! The swarm drives `clients` browsers — staggered arrivals, one visit
+//! each of the same page — against **one** [`crate::server::ServerHost`]
+//! per domain, optionally governed by a finite-resource
 //! [`EdgeState`](h3cdn_cdn::EdgeState) admission controller. That is
 //! where fallback storms live: an edge past its handshake-CPU or
 //! connection budget refuses new QUIC handshakes, every refused client
 //! marks the domain QUIC-broken and stampedes onto TCP, and the edge
 //! either absorbs the cheap handshakes or sheds those too.
 //!
-//! With `clients == 1`, no stagger, and no edge, the swarm reproduces
-//! the solo visit **bit for bit** — same network seed, same node
-//! creation order, same host drive — so every client-side result built
-//! on [`crate::visit_page`] is the control row of every swarm sweep.
+//! A solo [`crate::visit_page`] *is* the one-client swarm: one seat
+//! carrying the caller's tickets and broken-QUIC memory, no stagger, no
+//! edge. Both entry points build their network, paths, catalogs, hosts
+//! and engine in [`drive`], so every client-side result built on
+//! [`crate::visit_page`] is the control row of every swarm sweep by
+//! construction.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use h3cdn_cdn::{edge, EdgeConfig, EdgeConfigError, EdgeState, EdgeStats};
 use h3cdn_har::HarPage;
 use h3cdn_http::{Catalog, ResponseSpec};
-use h3cdn_netsim::{Engine, LossModel, Network, PathSpec};
+use h3cdn_netsim::{Engine, LossModel, Network, PathSpec, StallReport};
 use h3cdn_sim_core::{SimDuration, SimTime};
 use h3cdn_transport::quic::QuicConfig;
 use h3cdn_transport::tcp::TcpConfig;
 use h3cdn_transport::tls::TicketStore;
-use h3cdn_web::{DomainTable, Webpage};
+use h3cdn_web::{DomainId, DomainTable, Webpage};
 
 use crate::client::{ClientHost, DomainInfo};
 use crate::config::VisitConfig;
@@ -126,36 +127,113 @@ pub fn run_swarm(
     swarm: &SwarmConfig,
 ) -> Result<SwarmOutcome, EdgeConfigError> {
     assert!(swarm.clients > 0, "a swarm needs at least one client");
-    if let Some(edge_cfg) = &swarm.edge {
-        edge_cfg.validate()?;
-    }
+    let edge = swarm.edge.clone().map(EdgeState::new).transpose()?;
+    let seats = (0..swarm.clients)
+        .map(|_| (TicketStore::new(), BrokenQuicCache::new()))
+        .collect();
+    let run = drive(
+        page,
+        domains,
+        cfg,
+        swarm.arrival_spacing,
+        edge.as_ref(),
+        seats,
+    );
 
+    // A stall (stranded clients) is an outcome, not an error — overload
+    // sweeps measure exactly that.
+    let clients = run
+        .clients
+        .into_iter()
+        .map(|(start, client)| {
+            let resilience = client.resilience();
+            let broken_quic = client.broken_quic().clone();
+            let pending_requests = client.pending_requests();
+            let har = client
+                .is_done()
+                .then(|| client.into_har(page.site, cfg.vantage.name()).0);
+            ClientOutcome {
+                completed: har.is_some(),
+                plt_ms: har.as_ref().map(|h| h.plt_ms - start.as_millis_f64()),
+                pending_requests,
+                resilience,
+                broken_quic,
+                har,
+            }
+        })
+        .collect();
+    let edges = run
+        .edges
+        .into_iter()
+        .map(|(d, stats)| (domains.name(d).to_string(), stats))
+        .collect();
+    Ok(SwarmOutcome {
+        clients,
+        edges,
+        stats: run.stats,
+    })
+}
+
+/// What [`drive`] leaves behind once the engine stops.
+pub(crate) struct FabricRun {
+    /// Client hosts in arrival order, each with its arrival instant.
+    pub clients: Vec<(SimTime, Box<ClientHost>)>,
+    /// Per-domain edge counters, in deterministic domain order.
+    pub edges: Vec<(DomainId, EdgeStats)>,
+    /// Network-level statistics of the whole run.
+    pub stats: VisitStats,
+    /// The engine's diagnosis when the run wedged or hit its event
+    /// budget.
+    pub stall: Option<StallReport>,
+}
+
+/// Builds the fabric for one visit of `page` per seat — client nodes
+/// first (so client 0 is node 0), then one server node per domain,
+/// each server optionally governed by its own copy of `edge_state` — and
+/// runs it to the deadline. A seat is the tickets and broken-QUIC
+/// memory one client starts from.
+///
+/// Client `i` arrives at `i * arrival_spacing`; the deadline leaves the
+/// last arrival a full [`VISIT_DEADLINE`].
+pub(crate) fn drive(
+    page: &Webpage,
+    domains: &DomainTable,
+    cfg: &VisitConfig,
+    arrival_spacing: SimDuration,
+    edge_state: Option<&EdgeState>,
+    seats: Vec<(TicketStore, BrokenQuicCache)>,
+) -> FabricRun {
     // 1. The page's distinct domains, deterministically ordered.
-    let used: BTreeSet<h3cdn_web::DomainId> = page.resources.iter().map(|r| r.domain).collect();
+    let used: BTreeSet<DomainId> = page.resources.iter().map(|r| r.domain).collect();
 
-    // 2. Network fabric: client nodes first (so client 0 is node 0,
-    //    exactly as in the solo visit), then one server node per domain.
+    // 2. Network fabric: client nodes first, then one server node per
+    //    domain.
     let net_seed = cfg
         .jitter_salt
         .wrapping_mul(31)
         .wrapping_add(page.site as u64)
         .wrapping_add(vantage_index(cfg.vantage) << 32);
     let mut net = Network::new(net_seed);
-    let mut client_nodes = Vec::with_capacity(swarm.clients);
-    for _ in 0..swarm.clients {
-        let node = net.add_node();
-        net.set_ingress_link(node, cfg.downlink, cfg.queue);
-        net.set_egress_link(node, cfg.uplink, cfg.queue);
-        client_nodes.push(node);
-    }
+    let client_nodes: Vec<_> = seats
+        .iter()
+        .map(|_| {
+            let node = net.add_node();
+            net.set_ingress_link(node, cfg.downlink, cfg.queue);
+            net.set_egress_link(node, cfg.uplink, cfg.queue);
+            node
+        })
+        .collect();
     let total_loss = cfg.loss_percent + cfg.baseline_loss_percent;
     let loss = if cfg.bursty_loss {
         LossModel::bursty_percent(total_loss)
     } else {
         LossModel::iid_percent(total_loss)
     };
+    // The same trace phase drives every client↔edge path: it is the
+    // client's access network that roams/oscillates, not each path
+    // independently.
     let dynamics_trace = cfg.path_dynamics.map(|p| p.trace(net_seed));
-    let mut info_of: HashMap<h3cdn_web::DomainId, DomainInfo> = HashMap::new();
+    let mut info_of: HashMap<DomainId, DomainInfo> = HashMap::new();
     for &d in &used {
         let node = net.add_node();
         let rtt = domain_rtt(domains, d, cfg.vantage, cfg.jitter_salt);
@@ -185,9 +263,11 @@ pub fn run_swarm(
         );
     }
 
-    // 3. Catalogs, shared across every client of a domain's server.
+    // 3. Catalogs: each domain's server knows its resources, shared
+    //    across every client. Cold caches pay an origin fetch per CDN
+    //    resource.
     let origin_rtt = domain_rtt(domains, page.origin_domain, cfg.vantage, cfg.jitter_salt);
-    let mut catalogs: BTreeMap<h3cdn_web::DomainId, Catalog> = BTreeMap::new();
+    let mut catalogs: BTreeMap<DomainId, Catalog> = BTreeMap::new();
     for r in &page.resources {
         let mut processing = SimDuration::from_nanos(r.processing_us * 1_000);
         if cfg.cold_cache && r.hosting.is_cdn() {
@@ -205,27 +285,32 @@ pub fn run_swarm(
     }
 
     // 4. Hosts, index-aligned with node creation order: clients first.
-    let mut hosts: Vec<SimHost> = Vec::with_capacity(swarm.clients + used.len());
-    let mut arrivals = Vec::with_capacity(swarm.clients);
-    for (i, &client_node) in client_nodes.iter().enumerate() {
-        // Client 0 keeps the solo visit's HAR seed exactly; later
-        // clients fork their own fingerprint streams.
+    let clients = seats.len();
+    let arrival = |i: usize| SimTime::ZERO + arrival_spacing * (i as u64);
+    let mut hosts: Vec<SimHost> = Vec::with_capacity(clients + used.len());
+    for (i, (&client_node, (tickets, broken_quic))) in client_nodes.iter().zip(seats).enumerate() {
+        // Client 0 keeps the unsalted HAR seed; later clients fork
+        // their own fingerprint streams.
         let har_seed = (net_seed ^ 0x4841_5221) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The last client takes the domain map itself; the others copy.
+        let info = if i + 1 == clients {
+            std::mem::take(&mut info_of)
+        } else {
+            info_of.clone()
+        };
         let mut client = ClientHost::with_alt_svc(
             client_node,
             cfg.mode,
             cfg.cc,
             build_plan(page),
-            info_of.clone(),
-            TicketStore::new(),
+            info,
+            tickets,
             har_seed,
             cfg.alt_svc_discovery,
         );
         client.set_h3_fallback(cfg.h3_fallback);
-        client.set_broken_quic(BrokenQuicCache::new());
-        let start = SimTime::ZERO + swarm.arrival_spacing * (i as u64);
-        client.set_start_at(start);
-        arrivals.push(start);
+        client.set_broken_quic(broken_quic);
+        client.set_start_at(arrival(i));
         hosts.push(SimHost::Client(Box::new(client)));
     }
     for &d in &used {
@@ -246,21 +331,19 @@ pub fn run_swarm(
             quic,
             cfg.h3_extra_processing,
         );
-        if let Some(edge_cfg) = &swarm.edge {
-            server.set_edge(EdgeState::new(edge_cfg.clone())?);
+        if let Some(state) = edge_state {
+            server.set_edge(state.clone());
         }
         hosts.push(SimHost::Server(Box::new(server)));
     }
 
-    // 5. Run to quiescence; a stall (stranded clients) is an outcome,
-    //    not an error — overload sweeps measure exactly that.
-    let deadline =
-        SimTime::ZERO + swarm.arrival_spacing * (swarm.clients as u64 - 1) + VISIT_DEADLINE;
+    // 5. Run to quiescence or the deadline.
     let mut engine = Engine::new(net, hosts);
     if let Some(budget) = cfg.max_sim_events {
         engine.set_event_budget(budget);
     }
-    let _ = engine.run_until_checked(deadline);
+    let deadline = arrival(clients.saturating_sub(1)) + VISIT_DEADLINE;
+    let stall = engine.run_until_checked(deadline).err();
     let sim_events = engine.events_dispatched();
     let (net, hosts) = engine.into_parts();
     let stats = VisitStats {
@@ -273,50 +356,22 @@ pub fn run_swarm(
     };
 
     // Partition back out by variant: node order is clients first, then
-    // servers, and a match is total — no positional unwrapping needed.
-    let mut client_hosts = Vec::with_capacity(swarm.clients);
-    let mut server_hosts = Vec::with_capacity(used.len());
+    // servers (in domain order), and a match is total — no positional
+    // unwrapping needed.
+    let mut run = FabricRun {
+        clients: Vec::with_capacity(clients),
+        edges: Vec::with_capacity(used.len()),
+        stats,
+        stall,
+    };
+    let mut used = used.into_iter();
     for host in hosts {
         match host {
-            SimHost::Client(c) => client_hosts.push(c),
-            SimHost::Server(s) => server_hosts.push(s),
+            SimHost::Client(c) => run.clients.push((arrival(run.clients.len()), c)),
+            SimHost::Server(s) => run.edges.extend(used.next().map(|d| (d, s.edge_stats()))),
         }
     }
-    let mut clients = Vec::with_capacity(swarm.clients);
-    for (client, start) in client_hosts.into_iter().zip(&arrivals) {
-        let resilience = client.resilience();
-        let broken_quic = client.broken_quic().clone();
-        let pending = client.pending_requests();
-        if client.is_done() {
-            let (har, _) = client.into_har(page.site, cfg.vantage.name());
-            clients.push(ClientOutcome {
-                completed: true,
-                plt_ms: Some(har.plt_ms - start.as_millis_f64()),
-                pending_requests: 0,
-                resilience,
-                broken_quic,
-                har: Some(har),
-            });
-        } else {
-            clients.push(ClientOutcome {
-                completed: false,
-                plt_ms: None,
-                pending_requests: pending,
-                resilience,
-                broken_quic,
-                har: None,
-            });
-        }
-    }
-    let mut edges = Vec::with_capacity(used.len());
-    for (server, &d) in server_hosts.iter().zip(&used) {
-        edges.push((domains.name(d).to_string(), server.edge_stats()));
-    }
-    Ok(SwarmOutcome {
-        clients,
-        edges,
-        stats,
-    })
+    run
 }
 
 #[cfg(test)]
@@ -571,6 +626,44 @@ mod tests {
             third.har.entries_with_protocol("h3").count() > 0,
             "expired memory must allow the H3 retry"
         );
+    }
+
+    #[test]
+    fn event_budget_strands_the_visit_and_the_swarm() {
+        // A watchdog budget far below what the page needs: the solo
+        // visit aborts with the engine's stall diagnosis, the swarm
+        // reports its clients stranded.
+        let corpus = small_corpus();
+        let page = &corpus.pages[0];
+        let cfg = VisitConfig::default().with_max_sim_events(Some(20));
+        let aborted = crate::visit::try_visit_page(
+            page,
+            &corpus.domains,
+            &cfg,
+            TicketStore::new(),
+            BrokenQuicCache::new(),
+        )
+        .expect_err("20 events cannot load a page");
+        assert!(aborted.stall.is_some(), "the budget stall is diagnosed");
+        assert!(aborted.pending_requests > 0);
+        assert_eq!(
+            aborted.pending_requests + aborted.completed_requests,
+            page.request_count()
+        );
+
+        let shape = SwarmConfig {
+            clients: 3,
+            ..SwarmConfig::default()
+        };
+        let out = run_swarm(page, &corpus.domains, &cfg, &shape)
+            .expect("a stall is an outcome, not an error");
+        assert_eq!(out.clients.len(), shape.clients);
+        for c in &out.clients {
+            assert!(!c.completed);
+            assert_eq!(c.plt_ms, None);
+            assert!(c.har.is_none());
+            assert!(c.pending_requests > 0);
+        }
     }
 
     #[test]

@@ -1,26 +1,17 @@
-//! Assembling and running one page visit (or a consecutive sequence).
+//! One page visit (or a consecutive sequence): the one-client swarm of
+//! [`crate::swarm`], mapped to a HAR page or an [`AbortedVisit`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-use h3cdn_cdn::{edge, Vantage};
+use h3cdn_cdn::Vantage;
 use h3cdn_har::HarPage;
-use h3cdn_http::{Catalog, ResponseSpec};
-use h3cdn_netsim::{Engine, LossModel, Network, PathSpec, QueueStats};
-use h3cdn_sim_core::{SimDuration, SimRng, SimTime};
-use h3cdn_transport::quic::QuicConfig;
-use h3cdn_transport::tcp::TcpConfig;
+use h3cdn_netsim::QueueStats;
+use h3cdn_sim_core::{SimDuration, SimRng};
 use h3cdn_transport::tls::TicketStore;
 use h3cdn_web::{DomainId, DomainTable, Webpage};
 
-use crate::client::{ClientHost, DomainInfo, PlannedRequest};
+use crate::client::PlannedRequest;
 use crate::config::VisitConfig;
-use crate::host::SimHost;
 use crate::resilience::{BrokenQuicCache, ResilienceStats};
-use crate::server::ServerHost;
-
-/// A tracer over the wire-packet type, as accepted by
-/// [`visit_page_traced`].
-pub(crate) type VisitTracer = h3cdn_netsim::engine::Tracer<h3cdn_transport::WirePacket>;
+use crate::swarm::drive;
 
 /// Result of one visit.
 #[derive(Debug)]
@@ -174,26 +165,13 @@ pub fn visit_page(
     cfg: &VisitConfig,
     tickets: TicketStore,
 ) -> VisitOutcome {
-    visit_page_traced(page, domains, cfg, tickets, None)
-}
-
-/// As [`visit_page`], with an optional packet tracer installed on the
-/// engine (see [`h3cdn_netsim::engine::TraceRecord`]) — the tool for
-/// inspecting exactly what crossed the wire during a visit.
-pub(crate) fn visit_page_traced(
-    page: &Webpage,
-    domains: &DomainTable,
-    cfg: &VisitConfig,
-    tickets: TicketStore,
-    tracer: Option<VisitTracer>,
-) -> VisitOutcome {
-    match run_visit(page, domains, cfg, tickets, BrokenQuicCache::new(), tracer) {
-        Ok(outcome) => outcome,
-        Err(aborted) => panic!(
-            "page {} did not finish within {VISIT_DEADLINE}: {aborted}",
-            page.site
-        ),
-    }
+    finished(try_visit_page(
+        page,
+        domains,
+        cfg,
+        tickets,
+        BrokenQuicCache::new(),
+    ))
 }
 
 /// As [`visit_page`], but a wedged or stranded visit is a *measurement
@@ -201,6 +179,9 @@ pub(crate) fn visit_page_traced(
 /// fault-injection experiments, where pages legitimately fail. Also
 /// accepts the broken-QUIC memory carried from a previous visit (pass
 /// [`BrokenQuicCache::new`] for an isolated measurement).
+///
+/// The visit is the one-client swarm: one seat with the caller's
+/// tickets and broken-QUIC memory, no stagger, no finite edge.
 pub fn try_visit_page(
     page: &Webpage,
     domains: &DomainTable,
@@ -208,191 +189,75 @@ pub fn try_visit_page(
     tickets: TicketStore,
     broken_quic: BrokenQuicCache,
 ) -> Result<VisitOutcome, Box<AbortedVisit>> {
-    run_visit(page, domains, cfg, tickets, broken_quic, None)
+    let run = drive(
+        page,
+        domains,
+        cfg,
+        SimDuration::ZERO,
+        None,
+        vec![(tickets, broken_quic)],
+    );
+    let client = run.clients.into_iter().next().map(|(_, c)| c);
+    let resilience = client.as_ref().map(|c| c.resilience()).unwrap_or_default();
+    let broken_quic = client
+        .as_ref()
+        .map(|c| c.broken_quic().clone())
+        .unwrap_or_default();
+    match client {
+        Some(client) if run.stall.is_none() && client.is_done() => {
+            let (har, tickets) = client.into_har(page.site, cfg.vantage.name());
+            Ok(VisitOutcome {
+                har,
+                tickets,
+                stats: run.stats,
+                resilience,
+                broken_quic,
+            })
+        }
+        client => {
+            // The one seat always comes back; were it missing, nothing
+            // of the page was done.
+            let pending = client.map_or(page.request_count(), |c| c.pending_requests());
+            Err(Box::new(AbortedVisit {
+                site: page.site,
+                pending_requests: pending,
+                completed_requests: page.request_count().saturating_sub(pending),
+                stats: run.stats,
+                resilience,
+                broken_quic,
+                stall: run.stall.map(|report| report.to_string()),
+            }))
+        }
+    }
 }
 
-fn run_visit(
-    page: &Webpage,
-    domains: &DomainTable,
-    cfg: &VisitConfig,
-    tickets: TicketStore,
-    broken_quic: BrokenQuicCache,
-    tracer: Option<VisitTracer>,
-) -> Result<VisitOutcome, Box<AbortedVisit>> {
-    // 1. Collect the page's distinct domains, deterministically ordered.
-    let used: BTreeSet<DomainId> = page.resources.iter().map(|r| r.domain).collect();
-
-    // 2. Network fabric: client + one server node per domain.
-    let net_seed = cfg
-        .jitter_salt
-        .wrapping_mul(31)
-        .wrapping_add(page.site as u64)
-        .wrapping_add(vantage_index(cfg.vantage) << 32);
-    let mut net = Network::new(net_seed);
-    let client_node = net.add_node();
-    net.set_ingress_link(client_node, cfg.downlink, cfg.queue);
-    net.set_egress_link(client_node, cfg.uplink, cfg.queue);
-    let total_loss = cfg.loss_percent + cfg.baseline_loss_percent;
-    let loss = if cfg.bursty_loss {
-        LossModel::bursty_percent(total_loss)
-    } else {
-        LossModel::iid_percent(total_loss)
-    };
-
-    // The same trace phase drives every client↔edge path: it is the
-    // client's access network that roams/oscillates, not each path
-    // independently.
-    let dynamics_trace = cfg.path_dynamics.map(|p| p.trace(net_seed));
-    let mut node_of: HashMap<DomainId, h3cdn_netsim::NodeId> = HashMap::new();
-    let mut info_of: HashMap<DomainId, DomainInfo> = HashMap::new();
-    for &d in &used {
-        let node = net.add_node();
-        let rtt = domain_rtt(domains, d, cfg.vantage, cfg.jitter_salt);
-        net.set_path_symmetric(client_node, node, PathSpec::with_delay(rtt / 2).loss(loss));
-        if let Some(spec) = &cfg.faults {
-            if spec.selects(d.0, cfg.jitter_salt) {
-                net.set_fault_plan_symmetric(client_node, node, spec.plan.clone());
-            }
-        }
-        if let Some(trace) = &dynamics_trace {
-            net.set_path_dynamics_symmetric(client_node, node, trace.clone(), cfg.queue);
-        }
-        node_of.insert(d, node);
-        info_of.insert(
-            d,
-            DomainInfo {
-                name: domains.name(d).to_string(),
-                node,
-                rtt,
-                tls12: domain_tls12(domains, d, cfg.jitter_salt),
-                dns_delay: cfg
-                    .model_dns
-                    .then(|| domain_dns_delay(domains, d, cfg.jitter_salt)),
-                provider: domains.provider(d),
-            },
-        );
+/// Unwraps the result of a panicking entry point: there, an aborted
+/// visit is a bug in the stack, not a measurement outcome.
+fn finished<T>(result: Result<T, Box<AbortedVisit>>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(aborted) => panic!(
+            "page {} did not finish within {VISIT_DEADLINE}: {aborted}",
+            aborted.site
+        ),
     }
-
-    // 3. Catalogs: each domain's server knows its resources. Cold caches
-    //    pay an origin fetch per CDN resource.
-    let origin_rtt = domain_rtt(domains, page.origin_domain, cfg.vantage, cfg.jitter_salt);
-    let mut catalogs: BTreeMap<DomainId, Catalog> = BTreeMap::new();
-    for r in &page.resources {
-        let mut processing = SimDuration::from_nanos(r.processing_us * 1_000);
-        if cfg.cold_cache && r.hosting.is_cdn() {
-            processing += edge::miss_penalty(origin_rtt);
-        }
-        catalogs.entry(r.domain).or_default().register(
-            r.id,
-            ResponseSpec {
-                header_bytes: r.response_header_bytes,
-                body_bytes: r.body_bytes,
-                processing,
-                priority: priority_of(r.kind),
-            },
-        );
-    }
-
-    // 4. Hosts, index-aligned with node creation order.
-    let plan = build_plan(page);
-    let plan_len = plan.len();
-    let mut client = ClientHost::with_alt_svc(
-        client_node,
-        cfg.mode,
-        cfg.cc,
-        plan,
-        info_of,
-        tickets,
-        net_seed ^ 0x4841_5221, // HAR fingerprint tokens
-        cfg.alt_svc_discovery,
-    );
-    client.set_h3_fallback(cfg.h3_fallback);
-    client.set_broken_quic(broken_quic);
-    let mut hosts: Vec<SimHost> = vec![SimHost::Client(Box::new(client))];
-    for &d in &used {
-        let rtt = domain_rtt(domains, d, cfg.vantage, cfg.jitter_salt);
-        let tcp = TcpConfig {
-            initial_rtt: rtt,
-            cc: cfg.cc,
-            ..TcpConfig::default()
-        };
-        let quic = QuicConfig {
-            initial_rtt: rtt,
-            cc: cfg.cc,
-            ..QuicConfig::default()
-        };
-        hosts.push(SimHost::Server(Box::new(ServerHost::new(
-            catalogs.remove(&d).unwrap_or_default().into_shared(),
-            tcp,
-            quic,
-            cfg.h3_extra_processing,
-        ))));
-    }
-
-    // 5. Run to quiescence.
-    let mut engine = Engine::new(net, hosts);
-    if let Some(budget) = cfg.max_sim_events {
-        engine.set_event_budget(budget);
-    }
-    if let Some(t) = tracer {
-        engine.set_tracer(t);
-    }
-    let run = engine.run_until_checked(SimTime::ZERO + VISIT_DEADLINE);
-    let sim_events = engine.events_dispatched();
-    let (net, hosts) = engine.into_parts();
-    let stats = VisitStats {
-        packets_delivered: net.delivered(),
-        packets_lost: net.lost(),
-        packets_fault_dropped: net.fault_dropped(),
-        packets_dynamics_dropped: net.dynamics_dropped(),
-        queue: net.queue_stats(),
-        sim_events,
-    };
-    let client = hosts
-        .into_iter()
-        .next()
-        .and_then(SimHost::into_client)
-        .expect("client is node 0");
-    if run.is_err() || !client.is_done() {
-        let pending = client.pending_requests();
-        return Err(Box::new(AbortedVisit {
-            site: page.site,
-            pending_requests: pending,
-            completed_requests: plan_len - pending,
-            stats,
-            resilience: client.resilience(),
-            broken_quic: client.broken_quic().clone(),
-            stall: run.err().map(|report| report.to_string()),
-        }));
-    }
-    let resilience = client.resilience();
-    let broken_quic = client.broken_quic().clone();
-    let (har, tickets) = client.into_har(page.site, cfg.vantage.name());
-    Ok(VisitOutcome {
-        har,
-        tickets,
-        stats,
-        resilience,
-        broken_quic,
-    })
 }
 
 /// Visits pages in order, carrying the ticket store forward — the
 /// paper's §VI-D consecutive-browsing methodology (connections torn
 /// down, caches cleared, session state kept).
+///
+/// # Panics
+///
+/// Panics if a page fails to finish within the simulated deadline (as
+/// [`visit_page`]).
 pub fn visit_consecutively(
     pages: &[&Webpage],
     domains: &DomainTable,
     cfg: &VisitConfig,
-    mut tickets: TicketStore,
+    tickets: TicketStore,
 ) -> (Vec<HarPage>, TicketStore) {
-    let mut hars = Vec::with_capacity(pages.len());
-    for page in pages {
-        let outcome = visit_page(page, domains, cfg, tickets);
-        tickets = outcome.tickets;
-        hars.push(outcome.har);
-    }
-    (hars, tickets)
+    finished(try_visit_consecutively(pages, domains, cfg, tickets))
 }
 
 /// As [`visit_consecutively`], but an aborted page is a typed outcome
@@ -456,6 +321,7 @@ mod tests {
     use crate::config::{FaultSpec, ProtocolMode};
     use crate::resilience::BROKEN_QUIC_TTL;
     use h3cdn_netsim::FaultPlan;
+    use h3cdn_sim_core::SimTime;
     use h3cdn_web::{generate, WorkloadSpec};
 
     fn small_corpus() -> h3cdn_web::Corpus {

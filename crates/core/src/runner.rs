@@ -4,9 +4,10 @@
 //! `(WorkloadSpec, seed, vantage, VisitConfig)`, which makes campaigns
 //! embarrassingly parallel. This module models campaign work as *keyed
 //! jobs* — a totally ordered `JobKey` plus a closure producing a
-//! result — executes them on a [`std::thread::scope`] worker pool, and
-//! merges results **in key order**, so the output of every campaign API
-//! is bit-identical to the serial path regardless of worker count.
+//! result — executes them on the one [`std::thread::scope`] worker pool
+//! in [`streaming`], and merges results **in key order**, so the output
+//! of every campaign API is bit-identical to the serial path regardless
+//! of worker count.
 //!
 //! Worker count resolution, in priority order:
 //!
@@ -23,8 +24,8 @@
 pub mod durable;
 pub mod streaming;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Once;
 use std::time::Instant;
 
 /// Key identifying one campaign job: `(vantage, site, variant)`.
@@ -138,43 +139,55 @@ fn jobs_from_env() -> usize {
     }
 }
 
-/// Runs keyed jobs on a scoped worker pool and returns `(key, result)`
-/// pairs sorted by key.
+/// Runs keyed jobs on the worker pool and returns `(key, result)` pairs
+/// sorted by key: a `Vec` sink over [`streaming::run_keyed_streaming`]
+/// whose window holds every job, so workers never wait on the merge.
 ///
-/// Execution order is arbitrary (workers race over an atomic cursor);
-/// **merge order is total and stable**: results come back in ascending
-/// key order, with equal keys kept in submission order. With pure job
-/// closures the output is therefore identical for any worker count,
-/// including `1` (which runs inline without spawning).
-pub fn run_keyed<K, T, F>(config: &RunnerConfig, mut jobs: Vec<(K, F)>) -> Vec<(K, T)>
+/// Execution order is arbitrary; **merge order is total and stable**:
+/// results come back in ascending key order, with equal keys kept in
+/// submission order. With pure job closures the output is therefore
+/// identical for any worker count, including `1` (which runs inline
+/// without spawning).
+///
+/// # Panics
+///
+/// A panicking job panics the caller with the job's payload.
+pub fn run_keyed<K, T, F>(config: &RunnerConfig, jobs: Vec<(K, F)>) -> Vec<(K, T)>
 where
     K: Ord + Send,
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    // Stable sort: ascending key, ties by submission order. Sorting
-    // *before* execution makes the merge order independent of both the
-    // worker count and any scheduling race.
-    jobs.sort_by(|a, b| a.0.cmp(&b.0));
     let total = jobs.len();
     let workers = config.effective_jobs().min(total.max(1));
+    let progress_every = (total / 10).max(1);
+    // A panic is caught on the worker and re-raised on the caller's
+    // thread: the streaming pool drains results strictly in key order,
+    // so a worker dying mid-job would leave the drain waiting forever.
+    let caught: Vec<(K, _)> = jobs
+        .into_iter()
+        .map(|(k, f)| (k, move || catch_unwind(AssertUnwindSafe(f))))
+        .collect();
 
-    let mut keys = Vec::with_capacity(total);
-    let mut fns = Vec::with_capacity(total);
-    for (k, f) in jobs {
-        keys.push(k);
-        fns.push(f);
-    }
-
-    // Wall-clock is used for the jobs/s progress line on stderr only;
+    // Wall-clock is used for the jobs/s progress lines on stderr only;
     // it never feeds into simulated time or results.
     // h3cdn-lint: allow(wall-clock)
     let started = Instant::now();
-    let results: Vec<T> = if workers <= 1 || total <= 1 {
-        fns.into_iter().map(|f| f()).collect()
-    } else {
-        execute_parallel(config, fns, workers, &started)
-    };
+    let mut out = Vec::with_capacity(total);
+    streaming::run_keyed_streaming(config, caught, total.max(1), |k, result| {
+        match result {
+            Ok(value) => out.push((k, value)),
+            Err(payload) => resume_unwind(payload),
+        }
+        let done = out.len();
+        if !config.quiet && (done.is_multiple_of(progress_every) || done == total) {
+            let secs = started.elapsed().as_secs_f64().max(1e-9);
+            eprintln!(
+                "h3cdn runner: {done}/{total} jobs done ({:.1} jobs/s)",
+                done as f64 / secs
+            );
+        }
+    });
 
     if !config.quiet {
         let secs = started.elapsed().as_secs_f64().max(1e-9);
@@ -184,8 +197,7 @@ where
             total as f64 / secs
         );
     }
-
-    keys.into_iter().zip(results).collect()
+    out
 }
 
 /// As [`run_keyed`], discarding keys: results in key order.
@@ -198,62 +210,6 @@ where
     run_keyed(config, jobs)
         .into_iter()
         .map(|(_, v)| v)
-        .collect()
-}
-
-/// Worker-pool execution: an atomic cursor hands each slot index to
-/// exactly one worker; results land in per-slot cells, preserving the
-/// sorted job order irrespective of completion order.
-fn execute_parallel<T, F>(
-    config: &RunnerConfig,
-    fns: Vec<F>,
-    workers: usize,
-    started: &Instant,
-) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let total = fns.len();
-    let tasks: Vec<Mutex<Option<F>>> = fns.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let progress_every = (total / 10).max(1);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let f = tasks[i]
-                    .lock()
-                    .expect("task mutex")
-                    .take()
-                    .expect("each job is taken exactly once");
-                let out = f();
-                *slots[i].lock().expect("slot mutex") = Some(out);
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if !config.quiet && (d.is_multiple_of(progress_every) || d == total) {
-                    let secs = started.elapsed().as_secs_f64().max(1e-9);
-                    eprintln!(
-                        "h3cdn runner: {d}/{total} jobs done ({:.1} jobs/s)",
-                        d as f64 / secs
-                    );
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot mutex")
-                .expect("every slot was filled")
-        })
         .collect()
 }
 
@@ -309,6 +265,26 @@ mod tests {
         let cfg = RunnerConfig::default().with_jobs(64);
         let out = run_keyed_values(&cfg, identity_jobs(&[(0, 0, 0), (0, 1, 0)]));
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller_at_any_worker_count() {
+        for jobs in [1, 4] {
+            let cfg = RunnerConfig::default().with_jobs(jobs);
+            let submitted: Vec<(JobKey, _)> = (0..8u32)
+                .map(|i| {
+                    ((0, 0, i), move || {
+                        assert_ne!(i, 5, "job five fails");
+                        i
+                    })
+                })
+                .collect();
+            let payload =
+                std::panic::catch_unwind(AssertUnwindSafe(|| run_keyed_values(&cfg, submitted)))
+                    .expect_err("the job's panic must reach the caller");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("job five fails"), "jobs={jobs}: {message}");
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Streaming variant of the keyed runner: key-ordered delivery to a
-//! sink with a bounded in-flight result buffer.
+//! The runner's one worker pool: key-ordered delivery to a sink with a
+//! bounded in-flight result buffer.
 //!
-//! [`super::run_keyed`] materializes every result before the key-ordered
-//! merge, which is fine at 325 pages and fatal at 10⁶. This module keeps
-//! the same contract — jobs execute in any order, the sink observes
-//! results in ascending key order, output is bit-identical at any worker
-//! count — while holding at most `window` completed results in memory.
+//! Jobs execute in any order, the sink observes results in ascending
+//! key order, and output is bit-identical at any worker count, while at
+//! most `window` completed results are held in memory. A `Vec` sink
+//! with a window as large as the batch is [`super::run_keyed`], fine at
+//! 325 pages; the population run streams 10⁶ pages through a small
+//! window instead.
 //!
 //! The mechanism: jobs are sorted by key up front and workers claim
 //! indices from an atomic cursor, so index order *is* key order. A
@@ -59,8 +60,11 @@ struct Shared<T> {
 ///
 /// # Panics
 ///
-/// Panics if `window` is zero, or if a job closure panics (workers
-/// propagate the panic when the scope joins).
+/// Panics if `window` is zero. A panicking job is not caught here: on
+/// the serial path it unwinds through the caller, but on the worker
+/// pool it leaves the in-order drain waiting for its result forever.
+/// Callers whose jobs can panic catch the panic inside the job, as
+/// [`super::run_keyed`] does.
 pub fn run_keyed_streaming<K, T, F, S>(
     config: &RunnerConfig,
     mut jobs: Vec<(K, F)>,
