@@ -24,7 +24,6 @@
 pub mod durable;
 pub mod streaming;
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Once;
 use std::time::Instant;
 
@@ -151,7 +150,9 @@ fn jobs_from_env() -> usize {
 ///
 /// # Panics
 ///
-/// A panicking job panics the caller with the job's payload.
+/// A panicking job panics the caller with the job's payload, at any
+/// worker count (the pool catches it on the worker and re-raises it at
+/// the in-order drain).
 pub fn run_keyed<K, T, F>(config: &RunnerConfig, jobs: Vec<(K, F)>) -> Vec<(K, T)>
 where
     K: Ord + Send,
@@ -161,24 +162,14 @@ where
     let total = jobs.len();
     let workers = config.effective_jobs().min(total.max(1));
     let progress_every = (total / 10).max(1);
-    // A panic is caught on the worker and re-raised on the caller's
-    // thread: the streaming pool drains results strictly in key order,
-    // so a worker dying mid-job would leave the drain waiting forever.
-    let caught: Vec<(K, _)> = jobs
-        .into_iter()
-        .map(|(k, f)| (k, move || catch_unwind(AssertUnwindSafe(f))))
-        .collect();
 
     // Wall-clock is used for the jobs/s progress lines on stderr only;
     // it never feeds into simulated time or results.
     // h3cdn-lint: allow(wall-clock)
     let started = Instant::now();
     let mut out = Vec::with_capacity(total);
-    streaming::run_keyed_streaming(config, caught, total.max(1), |k, result| {
-        match result {
-            Ok(value) => out.push((k, value)),
-            Err(payload) => resume_unwind(payload),
-        }
+    streaming::run_keyed_streaming(config, jobs, total.max(1), |k, value| {
+        out.push((k, value));
         let done = out.len();
         if !config.quiet && (done.is_multiple_of(progress_every) || done == total) {
             let secs = started.elapsed().as_secs_f64().max(1e-9);
@@ -216,6 +207,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     fn identity_jobs(keys: &[JobKey]) -> Vec<(JobKey, impl FnOnce() -> JobKey + Send)> {
         keys.iter().map(|&k| (k, move || k)).collect()

@@ -17,10 +17,16 @@
 //! up — that back-pressure is what bounds memory. Deadlock-free because
 //! indices are claimed in order: the job at the drain point is always
 //! held by a worker inside the window, so it can always complete.
+//!
+//! A job that panics on a worker does not take the worker down: the
+//! panic is caught and parked in the job's result slot. When the drain
+//! reaches that index it tells the workers to stop, and the panic is
+//! re-raised on the caller's thread once they have all been joined.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use super::RunnerConfig;
 
@@ -39,13 +45,16 @@ pub struct StreamStats {
 /// Completed-result staging shared between workers and the draining
 /// caller thread.
 struct Shared<T> {
-    /// Completed results waiting for the drain point, keyed by job
-    /// index. Size is bounded by the window.
-    done: BTreeMap<usize, T>,
+    /// Completed results (or caught panics) waiting for the drain point,
+    /// keyed by job index. Size is bounded by the window.
+    done: BTreeMap<usize, std::thread::Result<T>>,
     /// Next job index the sink will consume.
     next_emit: usize,
     /// High-water mark of `done.len()`.
     peak: usize,
+    /// Set by the drain when a job or the sink panicked: workers run no
+    /// further jobs and stop waiting on the window.
+    stop: bool,
 }
 
 /// Runs keyed jobs on a worker pool, feeding each `(key, result)` to
@@ -60,11 +69,10 @@ struct Shared<T> {
 ///
 /// # Panics
 ///
-/// Panics if `window` is zero. A panicking job is not caught here: on
-/// the serial path it unwinds through the caller, but on the worker
-/// pool it leaves the in-order drain waiting for its result forever.
-/// Callers whose jobs can panic catch the panic inside the job, as
-/// [`super::run_keyed`] does.
+/// Panics if `window` is zero. A panicking job or sink panics the
+/// caller with its payload once every result before it has reached the
+/// sink; no later result reaches the sink, on the serial path and on
+/// the worker pool alike.
 pub fn run_keyed_streaming<K, T, F, S>(
     config: &RunnerConfig,
     mut jobs: Vec<(K, F)>,
@@ -108,6 +116,7 @@ where
         done: BTreeMap::new(),
         next_emit: 0,
         peak: 0,
+        stop: false,
     });
     // Workers wait on `space` for the sink to open the window; the
     // caller waits on `ready` for the next in-order result.
@@ -116,6 +125,7 @@ where
 
     let mut keys_iter = keys.into_iter();
     let mut peak = 0usize;
+    let mut panicked = None;
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -131,8 +141,11 @@ where
                 // worker (i < next_emit + window holds for it).
                 {
                     let mut st = shared.lock().expect("stream state");
-                    while i >= st.next_emit + window {
+                    while !st.stop && i >= st.next_emit + window {
                         st = space.wait(st).expect("stream state");
+                    }
+                    if st.stop {
+                        break;
                     }
                 }
                 let f = tasks[i]
@@ -140,7 +153,7 @@ where
                     .expect("task mutex")
                     .take()
                     .expect("each job is taken exactly once");
-                let out = f();
+                let out = catch_unwind(AssertUnwindSafe(f));
                 let mut st = shared.lock().expect("stream state");
                 st.done.insert(i, out);
                 st.peak = st.peak.max(st.done.len());
@@ -165,11 +178,26 @@ where
             // The window moved: wake any workers parked on it.
             space.notify_all();
             let key = keys_iter.next().expect("one key per job");
-            sink(key, value);
+            // A panicking sink stops the pool the same way a panicked
+            // job does, so no worker is left parked on the window. Jobs
+            // and the sink run outside the lock, so it is not poisoned;
+            // raising the flag would be sound even if it were.
+            let delivered =
+                value.and_then(|value| catch_unwind(AssertUnwindSafe(|| sink(key, value))));
+            if let Err(payload) = delivered {
+                shared.lock().unwrap_or_else(PoisonError::into_inner).stop = true;
+                space.notify_all();
+                panicked = Some(payload);
+                break;
+            }
         }
 
         peak = shared.lock().expect("stream state").peak;
     });
+    // Re-raised once the scope has joined every worker.
+    if let Some(payload) = panicked {
+        resume_unwind(payload);
+    }
 
     StreamStats {
         total,
@@ -255,6 +283,64 @@ mod tests {
         let stats = run_keyed_streaming(&cfg, jobs, 8, |_, _| unreachable!());
         assert_eq!(stats.total, 0);
         assert_eq!(stats.peak_buffered, 0);
+    }
+
+    /// Runs `jobs` under `catch_unwind`; returns the panic message and
+    /// the keys the sink saw before it.
+    fn run_until_panic(
+        workers: usize,
+        jobs: Vec<(u32, impl FnOnce() -> u32 + Send)>,
+        sink_panics_at: u32,
+    ) -> (String, Vec<u32>) {
+        let cfg = RunnerConfig::default().with_jobs(workers);
+        let mut seen = Vec::new();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            run_keyed_streaming(&cfg, jobs, 2, |k, _| {
+                assert_ne!(k, sink_panics_at, "sink fails at {k}");
+                seen.push(k);
+            })
+        }))
+        .expect_err("the panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        (message, seen)
+    }
+
+    #[test]
+    fn a_panicking_job_reaches_the_caller_at_any_worker_count() {
+        // A window far smaller than the batch: workers ahead of the
+        // failed job are parked on it and must be released.
+        for workers in [1, 4] {
+            let jobs: Vec<(u32, _)> = (0..64u32)
+                .map(|i| {
+                    (i, move || {
+                        assert_ne!(i, 10, "job {i} fails");
+                        i
+                    })
+                })
+                .collect();
+            let (message, seen) = run_until_panic(workers, jobs, u32::MAX);
+            assert!(
+                message.contains("job 10 fails"),
+                "workers={workers}: {message}"
+            );
+            assert_eq!(seen, (0..10).collect::<Vec<_>>(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_sink_stops_the_pool() {
+        for workers in [1, 4] {
+            let jobs: Vec<(u32, _)> = (0..64u32).map(|i| (i, move || i)).collect();
+            let (message, seen) = run_until_panic(workers, jobs, 7);
+            assert!(
+                message.contains("sink fails at 7"),
+                "workers={workers}: {message}"
+            );
+            assert_eq!(seen, (0..7).collect::<Vec<_>>(), "workers={workers}");
+        }
     }
 
     #[test]

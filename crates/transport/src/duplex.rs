@@ -90,6 +90,12 @@ impl<A: Driveable, B: Driveable<Wire = A::Wire>> Duplex<A, B> {
         self.now
     }
 
+    /// Wire items both endpoints have emitted so far, dropped ones
+    /// included.
+    pub fn wire_items_sent(&self) -> u64 {
+        self.sent_a + self.sent_b
+    }
+
     fn pump(&mut self) {
         loop {
             let mut progressed = false;

@@ -1,7 +1,8 @@
 //! The QUIC connection state machine: handshake, streams, ACK handling,
 //! loss detection, PTO, and connection-level flow control.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 
 use h3cdn_sim_core::{SimDuration, SimTime};
 
@@ -210,8 +211,9 @@ pub struct QuicConnection {
 
     send_streams: BTreeMap<u64, SendStream>,
     recv_streams: BTreeMap<u64, RecvStream>,
-    /// Scheduling class per stream (lower first); absent means default.
-    stream_priorities: BTreeMap<u64, u8>,
+    /// `(class, id)` of exactly the application streams with pending
+    /// data, so the scheduler never walks drained or idle streams.
+    sendable: BTreeSet<(u8, u64)>,
     next_stream_id: u64,
     rr_cursor: u64,
 
@@ -230,7 +232,7 @@ pub struct QuicConnection {
     /// Per-stream receive limits we granted.
     local_stream_limits: BTreeMap<u64, u64>,
     /// Streams whose `MAX_STREAM_DATA` update must be sent.
-    need_max_stream_data: std::collections::BTreeSet<u64>,
+    need_max_stream_data: BTreeSet<u64>,
 
     events: VecDeque<QuicEvent>,
     retransmit_count: u64,
@@ -241,8 +243,6 @@ pub struct QuicConnection {
     /// Recycled retransmission-info buffers (freed when a tracked packet
     /// is acked, declared lost, or probed).
     rtx_pool: Vec<Vec<RtxInfo>>,
-    /// Scratch for the round-robin stream ids in `poll_transmit`.
-    rr_scratch: Vec<u64>,
     /// Scratch for acked / lost packet numbers.
     pn_scratch: Vec<u64>,
 }
@@ -305,7 +305,7 @@ impl QuicConnection {
             rtx_credit: 0,
             send_streams: BTreeMap::new(),
             recv_streams: BTreeMap::new(),
-            stream_priorities: BTreeMap::new(),
+            sendable: BTreeSet::new(),
             next_stream_id: 0,
             rr_cursor: 0,
             recv_ranges: Vec::new(),
@@ -319,12 +319,11 @@ impl QuicConnection {
             need_max_data: false,
             peer_stream_limits: BTreeMap::new(),
             local_stream_limits: BTreeMap::new(),
-            need_max_stream_data: std::collections::BTreeSet::new(),
+            need_max_stream_data: BTreeSet::new(),
             events: VecDeque::new(),
             retransmit_count: 0,
             frame_pool: Vec::new(),
             rtx_pool: Vec::new(),
-            rr_scratch: Vec::new(),
             pn_scratch: Vec::new(),
         }
     }
@@ -427,10 +426,7 @@ impl QuicConnection {
         if self.early_data_enabled {
             self.ready_to_send = true;
             self.send_ready_at = Some(now);
-            self.used_early_data = self
-                .send_streams
-                .iter()
-                .any(|(&id, s)| id != CRYPTO_STREAM && s.has_pending());
+            self.used_early_data = !self.sendable.is_empty();
         }
     }
 
@@ -446,13 +442,21 @@ impl QuicConnection {
     /// first; unset streams default to class 1). The wire analogue is
     /// HTTP/3's PRIORITY_UPDATE.
     pub fn set_stream_priority(&mut self, stream: u64, priority: u8) {
-        self.stream_priorities.insert(stream, priority);
+        debug_assert_ne!(stream, CRYPTO_STREAM, "crypto stream is internal");
+        let s = self.send_streams.entry(stream).or_default();
+        let old = std::mem::replace(&mut s.class, priority);
+        if s.has_pending() {
+            self.sendable.remove(&(old, stream));
+            self.sendable.insert((priority, stream));
+        }
     }
 
     /// Writes an application message on `stream`.
     pub fn write_stream(&mut self, stream: u64, len: u64, tag: MsgTag) {
         debug_assert_ne!(stream, CRYPTO_STREAM, "crypto stream is internal");
-        self.send_streams.entry(stream).or_default().write(len, tag);
+        let s = self.send_streams.entry(stream).or_default();
+        s.write(len, tag);
+        self.sendable.insert((s.class, stream));
         if self.is_client && self.early_data_enabled && self.hs_state == HsState::AwaitServerFlight
         {
             self.used_early_data = true;
@@ -657,63 +661,63 @@ impl QuicConnection {
             let fc_room = self.peer_max_data.saturating_sub(self.data_sent);
             let mut app_room = data_room.min(fc_room);
             // Strict priority across classes, round-robin within the
-            // top class. First pass: the top (minimum) class among
-            // streams with pending data.
-            let mut top: Option<u8> = None;
-            for (&id, s) in &self.send_streams {
-                if id != CRYPTO_STREAM && s.has_pending() {
-                    let prio = self.stream_priorities.get(&id).copied().unwrap_or(1);
-                    top = Some(top.map_or(prio, |t| t.min(prio)));
-                }
-            }
-            // Second pass: the top class's stream ids (ascending, the
-            // map's order) and their total backlog, into a reused buffer.
-            let mut ids = std::mem::take(&mut self.rr_scratch);
-            ids.clear();
-            let mut total_pending = 0u64;
-            if let Some(top) = top {
-                for (&id, s) in &self.send_streams {
-                    if id != CRYPTO_STREAM
-                        && s.has_pending()
-                        && self.stream_priorities.get(&id).copied().unwrap_or(1) == top
-                    {
-                        ids.push(id);
-                        total_pending += s.pending_bytes();
+            // top class: the lowest class in `sendable`, walked by id.
+            if let Some(&(top, _)) = self.sendable.first() {
+                // Anti-amplification of tiny packets (the TCP world's
+                // silly-window avoidance): when congestion-limited, wait
+                // for ACKs instead of emitting sliver packets — unless
+                // what is left genuinely is a sliver. Only the first
+                // `MAX_PAYLOAD` bytes of backlog can matter.
+                let mut backlog = 0u64;
+                for (_, id) in self.sendable.range((top, 0)..=(top, u64::MAX)) {
+                    backlog += self
+                        .send_streams
+                        .get(id)
+                        .map_or(0, SendStream::pending_bytes);
+                    if backlog >= MAX_PAYLOAD {
+                        break;
                     }
                 }
-            }
-            // Anti-amplification of tiny packets (the TCP world's
-            // silly-window avoidance): when congestion-limited, wait for
-            // ACKs instead of emitting sliver packets — unless what is
-            // left genuinely is a sliver.
-            if !bypass && app_room < total_pending.min(MAX_PAYLOAD) {
-                app_room = 0;
-            }
-            if !ids.is_empty() {
+                if !bypass && app_room < backlog.min(MAX_PAYLOAD) {
+                    app_room = 0;
+                }
                 // Round-robin fairness across streams, one frame each per
                 // revolution, so concurrent responses interleave the way
-                // multiplexed H2/H3 transfers do.
-                let start = ids.iter().position(|&id| id > self.rr_cursor).unwrap_or(0);
-                let mut i = start;
-                let mut visited = 0;
-                while visited < ids.len() && budget > 12 && app_room > 12 {
-                    let Some(&id) = ids.get(i) else { break };
+                // multiplexed H2/H3 transfers do: the ids above the cursor
+                // in ascending order, then wrap to the ids up to it. Each
+                // stream is visited at most once per packet.
+                let cursor = self.rr_cursor;
+                let mut lo = Bound::Excluded((top, cursor));
+                let mut hi = (top, u64::MAX);
+                let mut wrapped = false;
+                while budget > 12 && app_room > 12 {
+                    let Some(&(_, id)) = self.sendable.range((lo, Bound::Included(hi))).next()
+                    else {
+                        if wrapped {
+                            break;
+                        }
+                        wrapped = true;
+                        lo = Bound::Included((top, 0));
+                        hi = (top, cursor);
+                        continue;
+                    };
+                    lo = Bound::Excluded((top, id));
                     let flow_limit = self
                         .peer_stream_limits
                         .get(&id)
                         .copied()
                         .unwrap_or(self.config.max_stream_data);
                     let Some(stream) = self.send_streams.get_mut(&id) else {
-                        // A listed id without a stream entry cannot occur
-                        // (rr_scratch is rebuilt from send_streams' keys);
-                        // skip it rather than panic.
-                        i = (i + 1) % ids.len().max(1);
-                        visited += 1;
+                        // `sendable` only lists ids of `send_streams`;
+                        // skip a stray one rather than panic.
                         continue;
                     };
                     if let Some((offset, len, markers)) =
                         stream.take_limited((budget - 12).min(app_room - 12), flow_limit)
                     {
+                        if !stream.has_pending() {
+                            self.sendable.remove(&(top, id));
+                        }
                         budget -= 12 + len;
                         app_room -= (12 + len).min(app_room);
                         stream_payload += len;
@@ -726,11 +730,8 @@ impl QuicConnection {
                             markers,
                         });
                     }
-                    i = (i + 1) % ids.len();
-                    visited += 1;
                 }
             }
-            self.rr_scratch = ids;
         }
 
         if frames.is_empty() {
@@ -1041,12 +1042,13 @@ impl QuicConnection {
 
         let mut acked = std::mem::take(&mut self.pn_scratch);
         acked.clear();
-        acked.extend(
-            self.sent
-                .keys()
-                .copied()
-                .filter(|pn| ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(pn))),
-        );
+        // ACK frames carry disjoint ranges, highest first (see
+        // `ack_ranges_descending`); walking them in reverse visits the
+        // acked packets in ascending order.
+        for &(lo, hi) in ranges.iter().rev() {
+            acked.extend(self.sent.range(lo..=hi).map(|(&pn, _)| pn));
+        }
+        debug_assert!(acked.is_sorted_by(|a, b| a < b), "ACK ranges overlap");
         if acked.is_empty() {
             self.pn_scratch = acked;
             // Still re-evaluate time-threshold losses against the (possibly
@@ -1149,10 +1151,11 @@ impl QuicConnection {
         for f in frames.drain(..) {
             match f {
                 RtxInfo::Stream { id, offset, len } => {
-                    self.send_streams
-                        .entry(id)
-                        .or_default()
-                        .requeue(offset, len);
+                    let s = self.send_streams.entry(id).or_default();
+                    s.requeue(offset, len);
+                    if id != CRYPTO_STREAM {
+                        self.sendable.insert((s.class, id));
+                    }
                 }
                 RtxInfo::MaxData => self.need_max_data = true,
                 RtxInfo::MaxStreamData { id } => {
@@ -1208,6 +1211,7 @@ impl crate::duplex::Driveable for QuicConnection {
 mod tests {
     use super::*;
     use crate::duplex::Duplex;
+    use crate::quic::streams::DEFAULT_CLASS;
     use h3cdn_netsim::NodeId;
 
     const RTT_MS: u64 = 40;
@@ -1367,6 +1371,87 @@ mod tests {
             lossy_max > clean_max,
             "the stream the loss hit must be delayed"
         );
+    }
+
+    fn stream_ids_in(pkt: &QuicPacket) -> Vec<u64> {
+        pkt.frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Stream { id, .. } if *id != CRYPTO_STREAM => Some(*id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reprioritised_stream_with_pending_data_moves_to_its_new_class() {
+        let mut pipe = make_pair(None, false);
+        let s1 = pipe.a.open_stream();
+        let s2 = pipe.a.open_stream();
+        pipe.a.write_stream(s1, 100, MsgTag(1));
+        pipe.a.write_stream(s2, 100, MsgTag(2));
+        pipe.a.connect(SimTime::ZERO);
+        pipe.run(400_000);
+        pipe.b.write_stream(s1, 5_000, MsgTag(11));
+        pipe.b.write_stream(s2, 5_000, MsgTag(12));
+        assert_eq!(pipe.b.sendable, BTreeSet::from([(1, s1), (1, s2)]));
+        pipe.b.set_stream_priority(s2, 0);
+        assert_eq!(
+            pipe.b.sendable,
+            BTreeSet::from([(0, s2), (1, s1)]),
+            "the pending stream is re-filed, not duplicated"
+        );
+        // Strict priority: s2 drains completely before s1 gets a frame.
+        let mut order = Vec::new();
+        while let Some(pkt) = pipe.b.poll_transmit(pipe.now()) {
+            order.extend(stream_ids_in(&pkt));
+        }
+        let first_s1 = order.iter().position(|&id| id == s1).expect("s1 sent");
+        let (head, tail) = order.split_at(first_s1);
+        assert!(!head.is_empty() && head.iter().all(|&id| id == s2));
+        assert!(!tail.contains(&s2));
+        assert!(pipe.b.sendable.is_empty(), "both streams drained");
+    }
+
+    #[test]
+    fn reprioritising_an_idle_stream_files_its_next_write_there() {
+        let id = ConnId::new(NodeId::from_raw(0), NodeId::from_raw(1), 1);
+        let mut server = QuicConnection::server(id, QuicConfig::default());
+        server.set_stream_priority(4, 3);
+        assert!(server.sendable.is_empty(), "nothing pending, nothing filed");
+        server.write_stream(4, 100, MsgTag(1));
+        assert_eq!(server.sendable, BTreeSet::from([(3, 4)]));
+    }
+
+    #[test]
+    fn lost_frame_on_a_drained_stream_rejoins_the_rotation() {
+        let mut pipe = make_pair(None, false);
+        let s = pipe.a.open_stream();
+        pipe.a.write_stream(s, 100, MsgTag(1));
+        pipe.a.connect(SimTime::ZERO);
+        pipe.run(400_000);
+        let sent_at = pipe.now();
+        pipe.b.write_stream(s, 500, MsgTag(9));
+        // The whole response fits one packet, which drains the stream;
+        // the network then loses that packet.
+        let lost = pipe.b.poll_transmit(sent_at).expect("response packet");
+        assert_eq!(stream_ids_in(&lost), vec![s]);
+        assert!(pipe.b.poll_transmit(sent_at).is_none());
+        assert!(
+            pipe.b.sendable.is_empty(),
+            "a drained stream leaves the rotation"
+        );
+        // The probe timeout re-queues the lost frame: the stream is
+        // sendable again and its bytes go out once more.
+        let pto = pipe.b.next_timeout().expect("probe timer armed");
+        pipe.b.on_timeout(pto);
+        assert_eq!(pipe.b.sendable, BTreeSet::from([(DEFAULT_CLASS, s)]));
+        let probe = pipe.b.poll_transmit(pto).expect("retransmission");
+        assert_eq!(stream_ids_in(&probe), vec![s]);
+        assert!(pipe.b.sendable.is_empty());
+        pipe.a
+            .on_packet(probe, pto + SimDuration::from_millis(RTT_MS / 2));
+        assert!(delivery_time(&drain(&mut pipe.a), MsgTag(9)).is_some());
     }
 
     #[test]

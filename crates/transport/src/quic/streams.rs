@@ -15,9 +15,14 @@ use crate::conn_id::MsgTag;
 /// inside the slice)`.
 pub(crate) type StreamSlice = (u64, u64, Vec<(u64, MsgTag)>);
 
+/// Scheduling class of a stream whose priority was never set.
+pub(crate) const DEFAULT_CLASS: u8 = 1;
+
 /// Send half of one stream.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct SendStream {
+    /// Scheduling class (lower is sent first).
+    pub(crate) class: u8,
     /// Total bytes written by the application.
     written: u64,
     /// First byte never yet packetised.
@@ -26,6 +31,18 @@ pub(crate) struct SendStream {
     rtx: BTreeMap<u64, u64>,
     /// Message boundaries (end offset → tag), kept for re-sends.
     markers: BTreeMap<u64, MsgTag>,
+}
+
+impl Default for SendStream {
+    fn default() -> Self {
+        SendStream {
+            class: DEFAULT_CLASS,
+            written: 0,
+            next_unsent: 0,
+            rtx: BTreeMap::new(),
+            markers: BTreeMap::new(),
+        }
+    }
 }
 
 impl SendStream {

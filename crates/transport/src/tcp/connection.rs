@@ -616,15 +616,12 @@ impl TcpConnection {
 
             // Remove fully covered in-flight segments; take one RTT sample
             // from a never-retransmitted segment (Karn's algorithm).
-            let covered: Vec<u64> = self
-                .in_flight
-                .iter()
-                .take_while(|(&seq, seg)| seq + seg.len <= ack)
-                .map(|(&seq, _)| seq)
-                .collect();
             let mut sampled = false;
-            for seq in covered {
-                let seg = self.in_flight.remove(&seq).expect("covered segment");
+            while let Some(entry) = self.in_flight.first_entry() {
+                if entry.key() + entry.get().len > ack {
+                    break;
+                }
+                let seg = entry.remove();
                 self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
                 if !sampled && !seg.retransmitted {
                     let sample = now - seg.sent_at;
@@ -643,7 +640,12 @@ impl TcpConnection {
             for seq in stale_rtx {
                 self.rtx_queue.remove(&seq);
             }
-            self.send_markers = self.send_markers.split_off(&(ack + 1));
+            while let Some(entry) = self.send_markers.first_entry() {
+                if *entry.key() > ack {
+                    break;
+                }
+                entry.remove();
+            }
             self.cc.on_ack(newly_acked, now);
 
             if self.in_recovery {
@@ -683,7 +685,9 @@ impl TcpConnection {
     /// leave the pipe, and any unsacked segment entirely below the
     /// highest sacked byte is a hole — retransmit it without waiting for
     /// three duplicate ACKs or an RTO. Burst losses repair in one round
-    /// trip instead of one hole per RTT.
+    /// trip instead of one hole per RTT. Only segments that start below
+    /// the highest sacked byte can be covered or be holes, so both scans
+    /// stop there.
     fn process_sack(&mut self, sack: &[(u64, u64)], now: SimTime) {
         let Some(highest_sacked) = sack.iter().map(|&(_, end)| end).max() else {
             return;
@@ -692,7 +696,7 @@ impl TcpConnection {
         //    delivered and no longer occupy the pipe.
         let covered: Vec<u64> = self
             .in_flight
-            .iter()
+            .range(..highest_sacked)
             .filter(|(&seq, seg)| {
                 sack.iter()
                     .any(|&(lo, hi)| seq >= lo && seq + seg.len <= hi)
@@ -716,7 +720,7 @@ impl TcpConnection {
         let reorder_window = 3 * self.config.mss;
         let holes: Vec<(u64, u64)> = self
             .in_flight
-            .iter()
+            .range(..highest_sacked)
             .filter(|(&seq, seg)| {
                 let end = seq + seg.len;
                 let by_sequence = end <= highest_sacked && highest_sacked - end >= reorder_window;
@@ -1372,5 +1376,45 @@ mod tests {
         assert!(closed, "the close must surface as an event");
         assert_eq!(client.next_timeout(), None, "all timers cleared");
         assert!(client.poll_transmit(at).is_none());
+    }
+
+    #[test]
+    fn sack_ignores_segments_at_or_above_the_highest_sacked_byte() {
+        let (mut client, mut server) = pair();
+        let mss = client.config.mss;
+        client.connect(SimTime::ZERO);
+        let syn = client.poll_transmit(SimTime::ZERO).expect("SYN");
+        server.on_segment(syn, SimTime::ZERO);
+        let syn_ack = server.poll_transmit(SimTime::ZERO).expect("SYN-ACK");
+        client.on_segment(syn_ack, SimTime::ZERO);
+        assert!(client.is_established());
+        client.write_message(5 * mss, MsgTag(1));
+        let mut sent = Vec::new();
+        while let Some(seg) = client.poll_transmit(SimTime::ZERO) {
+            if seg.len > 0 {
+                sent.push(seg.seq);
+            }
+        }
+        assert_eq!(sent, (0..5).map(|i| i * mss).collect::<Vec<_>>());
+        // The second segment arrived; the first is missing. Long after
+        // the send, the time rule alone would declare any unsacked
+        // segment below the highest sacked byte lost.
+        let later = SimTime::ZERO + SimDuration::from_secs(10);
+        client.process_sack(&[(mss, 2 * mss)], later);
+        assert!(
+            !client.in_flight.contains_key(&mss),
+            "sacked segment left the pipe"
+        );
+        assert_eq!(
+            client.rtx_queue.keys().copied().collect::<Vec<_>>(),
+            vec![0],
+            "only the segment below the sacked block is a hole"
+        );
+        assert_eq!(
+            client.in_flight.keys().copied().collect::<Vec<_>>(),
+            vec![2 * mss, 3 * mss, 4 * mss],
+            "segments starting at or above the highest sacked byte stay in flight"
+        );
+        assert_eq!(client.bytes_in_flight, 3 * mss);
     }
 }

@@ -53,11 +53,13 @@ proptest! {
     }
 
     /// QUIC delivers every message exactly once, in per-stream write
-    /// order, for any stream layout and any finite loss pattern.
+    /// order, for any stream layout, any per-stream scheduling classes
+    /// (set before the writes or re-filed after them) and any finite
+    /// loss pattern.
     #[test]
     fn quic_delivers_all_streams_under_loss(
-        stream_sizes in prop::collection::vec(
-            prop::collection::vec(1u64..40_000, 1..4), 1..5),
+        streams in prop::collection::vec(
+            (0u8..4, prop::bool::ANY, prop::collection::vec(1u64..40_000, 1..4)), 1..5),
         drops in prop::collection::vec(0u64..60, 0..10),
         rtt_ms in 10u64..120,
     ) {
@@ -69,13 +71,19 @@ proptest! {
         let server = QuicConnection::server(conn_id(), cfg);
         let mut expected: Vec<Vec<u64>> = Vec::new();
         let mut tag = 0u64;
-        for msgs in &stream_sizes {
+        for &(class, class_first, ref msgs) in &streams {
             let stream = client.open_stream();
+            if class_first {
+                client.set_stream_priority(stream, class);
+            }
             let mut order = Vec::new();
             for &len in msgs {
                 client.write_stream(stream, len, MsgTag(tag));
                 order.push(tag);
                 tag += 1;
+            }
+            if !class_first {
+                client.set_stream_priority(stream, class);
             }
             expected.push(order);
         }
