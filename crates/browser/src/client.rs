@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use h3cdn_cdn::locedge;
 use h3cdn_har::{EntryTiming, HarEntry, HarPage};
+use h3cdn_http::h1::H1Client;
 use h3cdn_http::{ClientConn, HttpEvent, HttpVersion, RequestMeta};
 use h3cdn_netsim::{NodeCtx, NodeId};
 use h3cdn_sim_core::units::ByteCount;
@@ -16,6 +17,7 @@ use h3cdn_transport::{CcAlgorithm, CloseReason, ConnId, WirePacket};
 use h3cdn_web::{DomainId, Hosting, Resource};
 
 use crate::config::ProtocolMode;
+use crate::host::DirtySet;
 use crate::resilience::{BrokenQuicCache, ResilienceStats};
 
 /// Browsers open at most this many parallel H1 connections per host.
@@ -81,6 +83,7 @@ pub(crate) struct PlannedRequest {
 
 #[derive(Debug)]
 struct ConnState {
+    id: ConnId,
     conn: ClientConn,
     domain: DomainId,
     /// The deadline mirrored into [`ClientHost::timeouts`]; kept equal to
@@ -90,6 +93,35 @@ struct ConnState {
     /// mid-round sits that round out, exactly like the full scan that
     /// snapshotted the id list at round start.
     born_round: u64,
+}
+
+/// The client's connections, connection `port` at slot `port - 1`.
+/// [`ClientHost::open_conn`] hands out ports 1, 2, 3, … and never
+/// removes a connection, so the port is the slot; a lookup checks the
+/// stored id, so an unknown id misses instead of aliasing.
+#[derive(Debug, Default)]
+struct ConnTable {
+    slots: Vec<ConnState>,
+}
+
+impl ConnTable {
+    fn slot(id: ConnId) -> Option<usize> {
+        (id.port as usize).checked_sub(1)
+    }
+
+    fn get(&self, id: ConnId) -> Option<&ConnState> {
+        self.slots.get(Self::slot(id)?).filter(|st| st.id == id)
+    }
+
+    fn get_mut(&mut self, id: ConnId) -> Option<&mut ConnState> {
+        self.slots.get_mut(Self::slot(id)?).filter(|st| st.id == id)
+    }
+
+    /// Files a new connection; its port must be the next free one.
+    fn push(&mut self, st: ConnState) {
+        debug_assert_eq!(Self::slot(st.id), Some(self.slots.len()), "ports are dense");
+        self.slots.push(st);
+    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -119,7 +151,7 @@ pub(crate) struct ClientHost {
     plan: Vec<PlannedRequest>,
     domain_info: HashMap<DomainId, DomainInfo>,
     tickets: TicketStore,
-    conns: BTreeMap<ConnId, ConnState>,
+    conns: ConnTable,
     pools: BTreeMap<(DomainId, HttpVersion), Vec<ConnId>>,
     entries: Vec<EntryState>,
     index_of_request: HashMap<u64, usize>,
@@ -151,7 +183,7 @@ pub(crate) struct ClientHost {
     /// only release packets in response to input (a packet, a fired
     /// timer, a request), so the pump polls exactly these instead of
     /// scanning every connection per event.
-    dirty: BTreeSet<ConnId>,
+    dirty: DirtySet,
     /// `(deadline, conn)` pairs mirroring each connection's
     /// `next_timeout()`, so the per-event wakeup re-arm reads one key
     /// instead of scanning every connection.
@@ -215,7 +247,7 @@ impl ClientHost {
             plan,
             domain_info,
             tickets,
-            conns: BTreeMap::new(),
+            conns: ConnTable::default(),
             pools: BTreeMap::new(),
             entries: vec![EntryState::default(); n],
             index_of_request,
@@ -232,7 +264,7 @@ impl ClientHost {
             h3_races: BTreeMap::new(),
             retry_attempts: BTreeMap::new(),
             resilience: ResilienceStats::default(),
-            dirty: BTreeSet::new(),
+            dirty: DirtySet::default(),
             timeouts: BTreeSet::new(),
             pump_round: 0,
         }
@@ -300,7 +332,7 @@ impl ClientHost {
                     break;
                 }
                 self.timeouts.remove(&(t, id));
-                let Some(st) = self.conns.get_mut(&id) else {
+                let Some(st) = self.conns.get_mut(id) else {
                     continue;
                 };
                 st.armed = None;
@@ -329,15 +361,19 @@ impl ClientHost {
 
     /// Routes a packet to its connection.
     pub fn on_packet(&mut self, pkt: WirePacket, ctx: &mut NodeCtx<'_, WirePacket>) {
+        self.deliver(pkt, ctx.now());
+        self.pump(ctx);
+    }
+
+    /// Feeds `pkt` to its connection and marks it for the pump. Packets
+    /// for unknown connections (late ACKs after teardown) cannot occur
+    /// in-visit; they are ignored defensively.
+    fn deliver(&mut self, pkt: WirePacket, now: SimTime) {
         let id = pkt.conn_id();
-        let now = ctx.now();
-        if let Some(st) = self.conns.get_mut(&id) {
+        if let Some(st) = self.conns.get_mut(id) {
             st.conn.on_packet(pkt, now);
             self.dirty.insert(id);
         }
-        // Packets for dropped connections (late ACKs after teardown)
-        // cannot occur in-visit; ignore defensively.
-        self.pump(ctx);
     }
 
     /// Delays the first dispatch to `at` (client arrival staggering in
@@ -378,10 +414,10 @@ impl ClientHost {
                 cursor = None;
                 continue;
             };
-            self.dirty.remove(&id);
+            self.dirty.remove(id);
             cursor = Some(id);
             // Transmit everything ready on this connection.
-            while let Some(st) = self.conns.get_mut(&id) {
+            while let Some(st) = self.conns.get_mut(id) {
                 let Some(pkt) = st.conn.poll_transmit(now) else {
                     break;
                 };
@@ -390,7 +426,7 @@ impl ClientHost {
             }
             // Handle its events (may dispatch onto other conns, marking
             // them dirty).
-            while let Some(st) = self.conns.get_mut(&id) {
+            while let Some(st) = self.conns.get_mut(id) {
                 let Some(ev) = st.conn.poll_event() else {
                     break;
                 };
@@ -401,22 +437,20 @@ impl ClientHost {
     }
 
     /// Smallest dirty connection id after `cursor` that existed when the
-    /// current pump round began.
+    /// current pump round began. An id with no connection counts as old,
+    /// so the pump drops it instead of waiting on it forever.
     fn next_dirty(&self, cursor: Option<ConnId>) -> Option<ConnId> {
-        use std::ops::Bound;
-        let range = match cursor {
-            Some(c) => self.dirty.range((Bound::Excluded(c), Bound::Unbounded)),
-            None => self.dirty.range(..),
-        };
-        range
-            .copied()
-            .find(|id| self.conns[id].born_round < self.pump_round)
+        self.dirty.after(cursor).find(|&id| {
+            self.conns
+                .get(id)
+                .is_none_or(|st| st.born_round < self.pump_round)
+        })
     }
 
     /// Re-mirrors `id`'s `next_timeout()` into the wakeup index after the
     /// connection absorbed input or produced output.
     fn refresh_armed(&mut self, id: ConnId) {
-        let Some(st) = self.conns.get_mut(&id) else {
+        let Some(st) = self.conns.get_mut(id) else {
             return;
         };
         let fresh = st.conn.next_timeout();
@@ -464,12 +498,13 @@ impl ClientHost {
                 }
             }
             HttpEvent::TicketIssued { at } => {
-                let domain = self.conns[&conn_id].domain;
-                self.tickets.insert(h3cdn_transport::tls::Ticket {
-                    domain: domain.0,
-                    issued_at: at,
-                    lifetime: TICKET_LIFETIME,
-                });
+                if let Some(st) = self.conns.get(conn_id) {
+                    self.tickets.insert(h3cdn_transport::tls::Ticket {
+                        domain: st.domain.0,
+                        issued_at: at,
+                        lifetime: TICKET_LIFETIME,
+                    });
+                }
             }
             HttpEvent::ConnectionClosed { at, reason } => {
                 self.on_conn_closed(conn_id, at, reason);
@@ -484,7 +519,7 @@ impl ClientHost {
     fn lose_race(&mut self, conn_id: ConnId, now: SimTime) {
         let handshaken = self
             .conns
-            .get(&conn_id)
+            .get(conn_id)
             .is_some_and(|st| st.conn.handshake_complete_at().is_some());
         if handshaken {
             return; // QUIC made it after all; nothing to do.
@@ -500,7 +535,7 @@ impl ClientHost {
         self.h3_races.remove(&conn_id);
         let Some((domain, version)) = self
             .conns
-            .get(&conn_id)
+            .get(conn_id)
             .map(|st| (st.domain, st.conn.version()))
         else {
             return;
@@ -546,7 +581,7 @@ impl ClientHost {
     /// re-dispatch every request stranded on the failed H3 connection
     /// (they will pick a TCP-based version via [`ClientHost::choose_version`]).
     fn fail_over_from_h3(&mut self, conn_id: ConnId, now: SimTime) {
-        let Some(domain) = self.conns.get(&conn_id).map(|st| st.domain) else {
+        let Some(domain) = self.conns.get(conn_id).map(|st| st.domain) else {
             return;
         };
         self.broken_quic.mark(domain.0);
@@ -558,7 +593,7 @@ impl ClientHost {
         self.resilience.h3_fallbacks += 1;
         if let Some(started) = self
             .conns
-            .get(&conn_id)
+            .get(conn_id)
             .and_then(|st| st.conn.connect_started_at())
         {
             // Time QUIC was given before the browser cut its losses —
@@ -640,44 +675,15 @@ impl ClientHost {
         let resource = self.plan[idx].resource.clone();
         let version = self.choose_version(&resource);
         let domain = resource.domain;
-        let key = (domain, version);
-        let pool = self.pools.entry(key).or_default().clone();
-
-        let (conn_id, creator) = match version {
-            HttpVersion::H2 | HttpVersion::H3 => match pool.first() {
-                Some(&existing) => (existing, false),
-                None => (self.open_conn(domain, version, now), true),
-            },
-            HttpVersion::H1 => {
-                // Reuse an idle connection, else grow the pool to six,
-                // else queue on the least-loaded one.
-                let idle = pool.iter().copied().find(|id| {
-                    matches!(&self.conns[id].conn, ClientConn::H1(c) if !c.is_busy() && c.queued_len() == 0)
-                });
-                match idle {
-                    Some(id) => (id, false),
-                    None if pool.len() < H1_POOL_LIMIT => {
-                        (self.open_conn(domain, version, now), true)
-                    }
-                    None => {
-                        let least = pool
-                            .iter()
-                            .copied()
-                            .min_by_key(|id| match &self.conns[id].conn {
-                                ClientConn::H1(c) => c.queued_len(),
-                                _ => usize::MAX,
-                            })
-                            .expect("H1 pool non-empty");
-                        (least, false)
-                    }
-                }
-            }
+        let (conn_id, creator) = match self.pick_pooled(domain, version) {
+            Some(existing) => (existing, false),
+            None => (self.open_conn(domain, version, now), true),
         };
 
         self.entries[idx].conn = Some(conn_id);
         self.entries[idx].creator = creator;
         self.conns
-            .get_mut(&conn_id)
+            .get_mut(conn_id)
             .expect("dispatch target exists")
             .conn
             .send_request(RequestMeta {
@@ -685,6 +691,31 @@ impl ClientHost {
                 header_bytes: resource.request_header_bytes,
             });
         self.dirty.insert(conn_id);
+    }
+
+    /// The pooled connection a new `(domain, version)` request joins, or
+    /// `None` when it needs a fresh one. H2 and H3 multiplex onto the
+    /// first; H1 reuses an idle connection, else grows the pool to six,
+    /// else queues on the least-loaded one.
+    fn pick_pooled(&self, domain: DomainId, version: HttpVersion) -> Option<ConnId> {
+        let pool = self.pools.get(&(domain, version))?;
+        if version != HttpVersion::H1 {
+            return pool.first().copied();
+        }
+        let h1 = |id: &ConnId| match self.conns.get(*id).map(|st| &st.conn) {
+            Some(ClientConn::H1(c)) => Some(c),
+            _ => None,
+        };
+        let idle = pool
+            .iter()
+            .copied()
+            .find(|id| h1(id).is_some_and(|c| !c.is_busy() && c.queued_len() == 0));
+        if idle.is_some() || pool.len() < H1_POOL_LIMIT {
+            return idle;
+        }
+        pool.iter()
+            .copied()
+            .min_by_key(|id| h1(id).map_or(usize::MAX, H1Client::queued_len))
     }
 
     fn open_conn(&mut self, domain: DomainId, version: HttpVersion, now: SimTime) -> ConnId {
@@ -742,15 +773,13 @@ impl ClientHost {
             self.h3_races.insert(id, now + delay);
         }
         self.pools.entry((domain, version)).or_default().push(id);
-        self.conns.insert(
+        self.conns.push(ConnState {
             id,
-            ConnState {
-                conn,
-                domain,
-                armed: None,
-                born_round: self.pump_round,
-            },
-        );
+            conn,
+            domain,
+            armed: None,
+            born_round: self.pump_round,
+        });
         self.dirty.insert(id);
         id
     }
@@ -771,8 +800,10 @@ impl ClientHost {
         let mut entries = Vec::with_capacity(self.plan.len());
         for (idx, planned) in self.plan.iter().enumerate() {
             let st = &self.entries[idx];
-            let conn_id = st.conn.expect("entry was dispatched");
-            let conn = &self.conns[&conn_id].conn;
+            let (conn_id, conn) = st
+                .conn
+                .and_then(|id| Some((id, &self.conns.get(id)?.conn)))
+                .expect("entry was dispatched");
             let info = &self.domain_info[&planned.resource.domain];
             let dispatched = st.dispatched_at.expect("entry was dispatched");
             let headers_at = st.headers_at.expect("response headers arrived");
@@ -839,6 +870,127 @@ impl ClientHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h3cdn_transport::tcp::TcpSegment;
+    use h3cdn_web::ResourceKind;
+
+    /// A browser for a two-resource page: domain 1 on server node 5,
+    /// domain 2 on server node 2 (the lower node number).
+    fn two_domain_client() -> ClientHost {
+        let resource = |id: u64, domain: u64| PlannedRequest {
+            resource: Resource {
+                id,
+                domain: DomainId(domain),
+                kind: ResourceKind::Image,
+                body_bytes: 1000,
+                response_header_bytes: 100,
+                request_header_bytes: 100,
+                processing_us: 0,
+                depth: 0,
+                parent: None,
+                hosting: Hosting::Origin {
+                    h3_available: false,
+                    h1_only: false,
+                },
+            },
+            children: Vec::new(),
+        };
+        let info = |name: &str, node: u32| DomainInfo {
+            name: name.to_string(),
+            node: NodeId::from_raw(node),
+            rtt: SimDuration::from_millis(20),
+            tls12: false,
+            dns_delay: None,
+            provider: None,
+        };
+        let domain_info = HashMap::from([
+            (DomainId(1), info("far.example", 5)),
+            (DomainId(2), info("near.example", 2)),
+        ]);
+        ClientHost::with_alt_svc(
+            NodeId::from_raw(0),
+            ProtocolMode::H2Only,
+            CcAlgorithm::default(),
+            vec![resource(1, 1), resource(2, 2)],
+            domain_info,
+            TicketStore::new(),
+            7,
+            false,
+        )
+    }
+
+    fn stray_segment(conn: ConnId) -> WirePacket {
+        WirePacket::Tcp(TcpSegment {
+            conn,
+            from_client: false,
+            syn: false,
+            rst: false,
+            ack_flag: true,
+            seq: 0,
+            len: 0,
+            ack: 0,
+            rwnd: 0,
+            markers: vec![],
+            sack: vec![],
+        })
+    }
+
+    #[test]
+    fn ports_are_slots_and_the_pump_walks_conn_id_order() {
+        let mut host = two_domain_client();
+        let far = host.open_conn(DomainId(1), HttpVersion::H2, SimTime::ZERO);
+        let near = host.open_conn(DomainId(2), HttpVersion::H2, SimTime::ZERO);
+        assert_eq!(
+            (far.port, near.port),
+            (1, 2),
+            "ports are handed out densely"
+        );
+        assert_eq!(host.conns.get(far).map(|st| st.id), Some(far));
+        assert_eq!(host.conns.get(near).map(|st| st.id), Some(near));
+        // Both are dirty. Connections born in the current round sit it
+        // out; from the next round on, the later-opened connection to the
+        // lower-numbered server comes first: `ConnId` order, not port
+        // order.
+        assert_eq!(host.next_dirty(None), None);
+        host.pump_round += 1;
+        assert_eq!(host.next_dirty(None), Some(near));
+        assert_eq!(host.next_dirty(Some(near)), Some(far));
+        assert_eq!(host.next_dirty(Some(far)), None);
+    }
+
+    #[test]
+    fn packets_for_unknown_connections_are_ignored() {
+        let mut host = two_domain_client();
+        let far = host.open_conn(DomainId(1), HttpVersion::H2, SimTime::ZERO);
+        host.dirty = DirtySet::default();
+        let unknown = [
+            // A port no connection has yet.
+            ConnId::new(NodeId::from_raw(0), far.server, 9),
+            // Port 0 (below the first slot).
+            ConnId::new(NodeId::from_raw(0), far.server, 0),
+            // A taken port, but towards another server.
+            ConnId::new(NodeId::from_raw(0), NodeId::from_raw(2), far.port),
+        ];
+        for id in unknown {
+            host.deliver(stray_segment(id), SimTime::ZERO);
+            assert!(host.dirty.is_empty(), "{id} must be ignored");
+        }
+        host.deliver(stray_segment(far), SimTime::ZERO);
+        assert_eq!(host.dirty.after(None).collect::<Vec<_>>(), vec![far]);
+    }
+
+    #[test]
+    fn dispatch_joins_the_pooled_connection() {
+        let mut host = two_domain_client();
+        host.dispatch_resolved(0, SimTime::ZERO);
+        host.dispatch_resolved(1, SimTime::ZERO);
+        host.dispatch_resolved(0, SimTime::ZERO);
+        // One H2 connection per domain; the repeat request reuses the
+        // first one instead of opening a third.
+        assert_eq!(host.conns.slots.len(), 2);
+        assert_eq!(host.entries[0].conn.map(|id| id.port), Some(1));
+        assert_eq!(host.entries[1].conn.map(|id| id.port), Some(2));
+        assert!(!host.entries[0].creator, "the repeat joined the pool");
+    }
 
     #[test]
     fn redial_backoff_sequence_is_deterministic_and_capped() {

@@ -1,7 +1,7 @@
 //! The server side of a visit: one node per domain, accepting TCP and
 //! QUIC connections and answering from its catalog.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use h3cdn_cdn::{Admission, EdgeState, EdgeStats, HandshakeKind};
@@ -13,6 +13,8 @@ use h3cdn_sim_core::{SimDuration, SimTime};
 use h3cdn_transport::quic::{Frame, QuicConfig, QuicPacket};
 use h3cdn_transport::tcp::{TcpConfig, TcpSegment};
 use h3cdn_transport::{ConnId, WirePacket};
+
+use crate::host::DirtySet;
 
 /// Stable key for one connection in the edge's admission ledger: the
 /// client node and its ephemeral port (the server node is the edge).
@@ -46,6 +48,63 @@ fn refusal_packet(kind: HandshakeKind, id: ConnId) -> WirePacket {
     }
 }
 
+/// One accepted connection and its bookkeeping.
+#[derive(Debug)]
+struct Accepted {
+    id: ConnId,
+    conn: ServerConn,
+    /// The deadline currently indexed in [`ServerHost::timeouts`].
+    armed: Option<SimTime>,
+    /// Whether its resources have been returned to the edge.
+    released: bool,
+}
+
+/// Marks an unused entry of [`AcceptTable::index`].
+const NO_SLOT: u32 = u32::MAX;
+
+/// The server's connections: a slab in accept order (never removed)
+/// reached through a per-client port index. Client ports are small and
+/// dense, so the index rows stay short.
+#[derive(Debug, Default)]
+struct AcceptTable {
+    slab: Vec<Accepted>,
+    /// `index[client][port]` is the slab slot of the connection from
+    /// `client`'s `port`, or [`NO_SLOT`].
+    index: Vec<Vec<u32>>,
+}
+
+impl AcceptTable {
+    fn get_mut(&mut self, id: ConnId) -> Option<&mut Accepted> {
+        let row = self.index.get(id.client.index())?;
+        let &slot = row.get(id.port as usize)?;
+        self.slab.get_mut(slot as usize).filter(|a| a.id == id)
+    }
+
+    /// Files a freshly accepted connection.
+    fn insert(&mut self, id: ConnId, conn: ServerConn) {
+        let (client, port) = (id.client.index(), id.port as usize);
+        if self.index.len() <= client {
+            self.index.resize_with(client + 1, Vec::new);
+        }
+        let Some(row) = self.index.get_mut(client) else {
+            return;
+        };
+        if row.len() <= port {
+            row.resize(port + 1, NO_SLOT);
+        }
+        let (Some(entry), Ok(slot)) = (row.get_mut(port), u32::try_from(self.slab.len())) else {
+            return;
+        };
+        *entry = slot;
+        self.slab.push(Accepted {
+            id,
+            conn,
+            armed: None,
+            released: false,
+        });
+    }
+}
+
 /// A domain's server: accepts connections on demand, one [`ServerConn`]
 /// per client connection, all sharing the domain's response catalog.
 #[derive(Debug)]
@@ -55,22 +114,18 @@ pub(crate) struct ServerHost {
     quic_config: QuicConfig,
     /// Surcharge applied to QUIC-served (H3) requests.
     h3_extra_processing: SimDuration,
-    conns: BTreeMap<ConnId, ServerConn>,
+    conns: AcceptTable,
     /// Connections with potentially-pending output (fed a packet or a
     /// fired timer since last drained). The pump polls exactly these.
-    dirty: BTreeSet<ConnId>,
+    dirty: DirtySet,
     /// `(deadline, conn)` pairs mirroring each connection's
     /// `next_timeout()` — the wakeup re-arm reads one key instead of
     /// scanning every connection.
     timeouts: BTreeSet<(SimTime, ConnId)>,
-    /// The deadline currently indexed per connection.
-    armed: BTreeMap<ConnId, SimTime>,
     /// Finite-resource admission controller. `None` models the
     /// infinitely provisioned edge of the client-side experiments —
     /// that path is bit-identical to the pre-edge server.
     edge: Option<EdgeState>,
-    /// Connections whose resources have been returned to the edge.
-    released: BTreeSet<ConnId>,
 }
 
 impl ServerHost {
@@ -86,12 +141,10 @@ impl ServerHost {
             tcp_config,
             quic_config,
             h3_extra_processing,
-            conns: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            conns: AcceptTable::default(),
+            dirty: DirtySet::default(),
             timeouts: BTreeSet::new(),
-            armed: BTreeMap::new(),
             edge: None,
-            released: BTreeSet::new(),
         }
     }
 
@@ -109,9 +162,21 @@ impl ServerHost {
     /// Handles an incoming packet, accepting a new connection when the
     /// id is unknown.
     pub fn on_packet(&mut self, pkt: WirePacket, ctx: &mut NodeCtx<'_, WirePacket>) {
-        let id = pkt.conn_id();
         let now = ctx.now();
-        if !self.conns.contains_key(&id) {
+        if let Some(refusal) = self.deliver(pkt, now) {
+            let size = ByteCount::new(refusal.wire_bytes());
+            ctx.send(refusal.conn_id().client, refusal, size);
+            return;
+        }
+        self.pump(ctx);
+    }
+
+    /// Feeds `pkt` to its connection, accepting one when the id is new,
+    /// and marks it for the pump. When the edge sheds the handshake
+    /// instead, returns the refusal to send back.
+    fn deliver(&mut self, pkt: WirePacket, now: SimTime) -> Option<WirePacket> {
+        let id = pkt.conn_id();
+        if self.conns.get_mut(id).is_none() {
             let kind = match pkt {
                 WirePacket::Quic(_) => HandshakeKind::Quic,
                 WirePacket::Tcp(_) => HandshakeKind::Tcp,
@@ -131,10 +196,7 @@ impl ServerHost {
                         // react to within one RTT. A retransmitted
                         // SYN/Initial re-runs admission, so refusals
                         // recover as budgets refill.
-                        let refusal = refusal_packet(kind, id);
-                        let size = ByteCount::new(refusal.wire_bytes());
-                        ctx.send(id.client, refusal, size);
-                        return;
+                        return Some(refusal_packet(kind, id));
                     }
                     Admission::Admitted { ticket_hit } => {
                         if kind == HandshakeKind::Quic && !ticket_hit {
@@ -161,12 +223,11 @@ impl ServerHost {
             );
             self.conns.insert(id, conn);
         }
-        self.conns
-            .get_mut(&id)
-            .expect("connection just ensured")
-            .on_packet(pkt, now);
-        self.dirty.insert(id);
-        self.pump(ctx);
+        if let Some(accepted) = self.conns.get_mut(id) {
+            accepted.conn.on_packet(pkt, now);
+            self.dirty.insert(id);
+        }
+        None
     }
 
     /// Fires due timers across connections.
@@ -180,11 +241,11 @@ impl ServerHost {
                 break;
             }
             self.timeouts.remove(&(t, id));
-            self.armed.remove(&id);
-            let Some(conn) = self.conns.get_mut(&id) else {
+            let Some(accepted) = self.conns.get_mut(id) else {
                 continue;
             };
-            conn.on_timeout(now);
+            accepted.armed = None;
+            accepted.conn.on_timeout(now);
             self.dirty.insert(id);
         }
         self.pump(ctx);
@@ -208,31 +269,84 @@ impl ServerHost {
             self.dirty.insert(id);
         }
         while let Some(id) = self.dirty.pop_first() {
-            let Some(conn) = self.conns.get_mut(&id) else {
+            let Some(accepted) = self.conns.get_mut(id) else {
                 continue;
             };
-            while let Some(pkt) = conn.poll_transmit(now) {
+            while let Some(pkt) = accepted.conn.poll_transmit(now) {
                 let size = ByteCount::new(pkt.wire_bytes());
                 ctx.send(id.client, pkt, size);
             }
             if let Some(edge) = self.edge.as_mut() {
-                if conn.is_closed() && self.released.insert(id) {
+                if accepted.conn.is_closed() && !accepted.released {
                     // Return the slot/memory to the admission budgets
                     // once per connection; later refusals recover
                     // immediately.
+                    accepted.released = true;
                     edge.release(admission_key(id));
                 }
             }
-            let fresh = conn.next_timeout();
-            if fresh != self.armed.get(&id).copied() {
-                if let Some(old) = self.armed.remove(&id) {
+            let fresh = accepted.conn.next_timeout();
+            if fresh != accepted.armed {
+                if let Some(old) = accepted.armed.take() {
                     self.timeouts.remove(&(old, id));
                 }
                 if let Some(t) = fresh {
                     self.timeouts.insert((t, id));
-                    self.armed.insert(id, t);
                 }
+                accepted.armed = fresh;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use h3cdn_netsim::NodeId;
+
+    fn syn(conn: ConnId) -> WirePacket {
+        WirePacket::Tcp(TcpSegment {
+            conn,
+            from_client: true,
+            syn: true,
+            rst: false,
+            ack_flag: false,
+            seq: 0,
+            len: 0,
+            ack: 0,
+            rwnd: 0,
+            markers: vec![],
+            sack: vec![],
+        })
+    }
+
+    #[test]
+    fn clients_sharing_a_port_reach_distinct_connections() {
+        let mut server = ServerHost::new(
+            Arc::new(h3cdn_http::Catalog::new()),
+            TcpConfig::default(),
+            QuicConfig::default(),
+            SimDuration::ZERO,
+        );
+        let edge = NodeId::from_raw(1);
+        let a = ConnId::new(NodeId::from_raw(4), edge, 1);
+        let b = ConnId::new(NodeId::from_raw(2), edge, 1);
+        for id in [a, b, a] {
+            assert!(server.deliver(syn(id), SimTime::ZERO).is_none());
+        }
+        // The repeated SYN reached `a`'s connection instead of accepting
+        // a third one.
+        assert_eq!(server.conns.slab.len(), 2);
+        assert_eq!(server.conns.get_mut(a).map(|c| c.id), Some(a));
+        assert_eq!(server.conns.get_mut(b).map(|c| c.id), Some(b));
+        // The pump drains in (client, port) order.
+        assert_eq!(server.dirty.pop_first(), Some(b));
+        assert_eq!(server.dirty.pop_first(), Some(a));
+        assert_eq!(server.dirty.pop_first(), None);
+        // An unaccepted port misses.
+        assert!(server
+            .conns
+            .get_mut(ConnId::new(a.client, edge, 2))
+            .is_none());
     }
 }

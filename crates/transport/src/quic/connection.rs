@@ -11,6 +11,7 @@ use crate::conn_id::{ConnId, MsgTag};
 use crate::quic::streams::{RecvStream, SendStream};
 use crate::quic::{Frame, QuicPacket, CRYPTO_STREAM, MAX_PAYLOAD};
 use crate::rtt::RttEstimator;
+use crate::seq_deque::SeqDeque;
 use crate::tls::Ticket;
 use crate::CloseReason;
 
@@ -194,7 +195,8 @@ pub struct QuicConnection {
     cc: Box<dyn CongestionController>,
     rtt: RttEstimator,
     next_pn: u64,
-    sent: BTreeMap<u64, SentPacket>,
+    /// Ack-eliciting packets awaiting acknowledgement, by packet number.
+    sent: SeqDeque<SentPacket>,
     bytes_in_flight: u64,
     largest_acked: Option<u64>,
     loss_time: Option<SimTime>,
@@ -296,7 +298,7 @@ impl QuicConnection {
             cc,
             rtt,
             next_pn: 0,
-            sent: BTreeMap::new(),
+            sent: SeqDeque::new(),
             bytes_in_flight: 0,
             largest_acked: None,
             loss_time: None,
@@ -1046,7 +1048,7 @@ impl QuicConnection {
         // `ack_ranges_descending`); walking them in reverse visits the
         // acked packets in ascending order.
         for &(lo, hi) in ranges.iter().rev() {
-            acked.extend(self.sent.range(lo..=hi).map(|(&pn, _)| pn));
+            acked.extend(self.sent.between(lo, hi).map(|(pn, _)| pn));
         }
         debug_assert!(acked.is_sorted_by(|a, b| a < b), "ACK ranges overlap");
         if acked.is_empty() {
@@ -1060,7 +1062,7 @@ impl QuicConnection {
         for &pn in &acked {
             // `acked` was collected from `sent`'s own keys; a miss means
             // the entry is already gone, and there is nothing to account.
-            let Some(info) = self.sent.remove(&pn) else {
+            let Some(info) = self.sent.remove(pn) else {
                 continue;
             };
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(info.size);
@@ -1089,10 +1091,7 @@ impl QuicConnection {
         let mut lost = std::mem::take(&mut self.pn_scratch);
         lost.clear();
         let mut next_loss_time: Option<SimTime> = None;
-        for (&pn, info) in &self.sent {
-            if pn >= largest_acked {
-                break;
-            }
+        for (pn, info) in self.sent.below(largest_acked) {
             let by_packets = largest_acked >= pn + PACKET_THRESHOLD;
             let lost_at = info.sent_at + loss_delay;
             if by_packets || lost_at <= now {
@@ -1110,7 +1109,7 @@ impl QuicConnection {
         for &pn in &lost {
             // `lost` came from `sent`'s own keys; tolerate a vanished
             // entry the same way `on_ack` does.
-            let Some(info) = self.sent.remove(&pn) else {
+            let Some(info) = self.sent.remove(pn) else {
                 continue;
             };
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(info.size);
@@ -1177,7 +1176,7 @@ impl QuicConnection {
     fn pto_deadline(&self) -> Option<SimTime> {
         // Packet numbers are assigned in send order and `now` never goes
         // backwards, so the first tracked packet is also the oldest.
-        let oldest = self.sent.values().next().map(|p| p.sent_at)?;
+        let oldest = self.sent.first().map(|(_, p)| p.sent_at)?;
         let backoff = 1u64 << self.pto_count.min(10);
         Some(oldest + self.rtt.pto(self.config.max_ack_delay) * backoff)
     }

@@ -7,6 +7,7 @@ use h3cdn_sim_core::{SimDuration, SimTime};
 use crate::cc::{CcAlgorithm, CongestionController};
 use crate::conn_id::{ConnId, MsgTag};
 use crate::rtt::RttEstimator;
+use crate::seq_deque::SeqDeque;
 use crate::tcp::TcpSegment;
 use crate::CloseReason;
 
@@ -111,11 +112,13 @@ pub struct TcpConnection {
     send_written: u64,
     next_to_send: u64,
     snd_una: u64,
-    in_flight: BTreeMap<u64, SentSegment>,
+    /// Unacknowledged segments keyed by starting offset.
+    in_flight: SeqDeque<SentSegment>,
     bytes_in_flight: u64,
     rtx_queue: BTreeMap<u64, u64>,
     force_rtx_credit: u32,
-    send_markers: BTreeMap<u64, MsgTag>,
+    /// Message end offsets not yet acknowledged, with their tags.
+    send_markers: SeqDeque<MsgTag>,
     dup_acks: u32,
     in_recovery: bool,
     recovery_end: u64,
@@ -189,11 +192,11 @@ impl TcpConnection {
             send_written: 0,
             next_to_send: 0,
             snd_una: 0,
-            in_flight: BTreeMap::new(),
+            in_flight: SeqDeque::new(),
             bytes_in_flight: 0,
             rtx_queue: BTreeMap::new(),
             force_rtx_credit: 0,
-            send_markers: BTreeMap::new(),
+            send_markers: SeqDeque::new(),
             dup_acks: 0,
             in_recovery: false,
             recovery_end: 0,
@@ -422,11 +425,9 @@ impl TcpConnection {
                 // collapse the window; SACK repairs any further holes as
                 // acknowledgements resume (no go-back-N redump).
                 self.cc.on_timeout(now);
-                if let Some((&seq, seg)) = self.in_flight.iter().next() {
-                    let len = seg.len;
-                    self.in_flight.remove(&seq);
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
-                    self.rtx_queue.insert(seq, len);
+                if let Some((seq, seg)) = self.in_flight.pop_first() {
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
+                    self.rtx_queue.insert(seq, seg.len);
                     self.force_rtx_credit += 1;
                 }
                 self.dup_acks = 0;
@@ -617,11 +618,8 @@ impl TcpConnection {
             // Remove fully covered in-flight segments; take one RTT sample
             // from a never-retransmitted segment (Karn's algorithm).
             let mut sampled = false;
-            while let Some(entry) = self.in_flight.first_entry() {
-                if entry.key() + entry.get().len > ack {
-                    break;
-                }
-                let seg = entry.remove();
+            while let Some((_, seg)) = self.in_flight.pop_first_if(|seq, seg| seq + seg.len <= ack)
+            {
                 self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
                 if !sampled && !seg.retransmitted {
                     let sample = now - seg.sent_at;
@@ -640,26 +638,21 @@ impl TcpConnection {
             for seq in stale_rtx {
                 self.rtx_queue.remove(&seq);
             }
-            while let Some(entry) = self.send_markers.first_entry() {
-                if *entry.key() > ack {
-                    break;
-                }
-                entry.remove();
-            }
+            while self
+                .send_markers
+                .pop_first_if(|end, _| end <= ack)
+                .is_some()
+            {}
             self.cc.on_ack(newly_acked, now);
 
             if self.in_recovery {
                 if ack >= self.recovery_end {
                     self.in_recovery = false;
-                } else if let Some((&seq, seg)) = self.in_flight.iter().next() {
+                } else if let Some((seq, seg)) = self.in_flight.pop_first_if(|seq, _| seq == ack) {
                     // NewReno-style partial ACK: retransmit the next hole.
-                    if seq == ack {
-                        let len = seg.len;
-                        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
-                        self.in_flight.remove(&seq);
-                        self.rtx_queue.insert(seq, len);
-                        self.force_rtx_credit += 1;
-                    }
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
+                    self.rtx_queue.insert(seq, seg.len);
+                    self.force_rtx_credit += 1;
                 }
             }
             self.arm_or_clear_rto(now);
@@ -667,11 +660,9 @@ impl TcpConnection {
             self.dup_acks += 1;
             if self.dup_acks == 3 && !self.in_recovery {
                 // Fast retransmit of the earliest unacked segment.
-                if let Some((&seq, seg)) = self.in_flight.iter().next() {
-                    let len = seg.len;
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
-                    self.in_flight.remove(&seq);
-                    self.rtx_queue.insert(seq, len);
+                if let Some((seq, seg)) = self.in_flight.pop_first() {
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
+                    self.rtx_queue.insert(seq, seg.len);
                     self.force_rtx_credit += 1;
                 }
                 self.cc.on_congestion_event(now);
@@ -696,15 +687,17 @@ impl TcpConnection {
         //    delivered and no longer occupy the pipe.
         let covered: Vec<u64> = self
             .in_flight
-            .range(..highest_sacked)
-            .filter(|(&seq, seg)| {
+            .below(highest_sacked)
+            .filter(|&(seq, seg)| {
                 sack.iter()
                     .any(|&(lo, hi)| seq >= lo && seq + seg.len <= hi)
             })
-            .map(|(&seq, _)| seq)
+            .map(|(seq, _)| seq)
             .collect();
         for seq in covered {
-            let seg = self.in_flight.remove(&seq).expect("covered segment");
+            let Some(seg) = self.in_flight.remove(seq) else {
+                continue;
+            };
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
             self.cc.on_ack(seg.len, now);
         }
@@ -718,24 +711,26 @@ impl TcpConnection {
         //    in a full queue is retried within ~an RTT.
         let loss_delay = self.rtt.loss_delay();
         let reorder_window = 3 * self.config.mss;
-        let holes: Vec<(u64, u64)> = self
+        let holes: Vec<u64> = self
             .in_flight
-            .range(..highest_sacked)
-            .filter(|(&seq, seg)| {
+            .below(highest_sacked)
+            .filter(|&(seq, seg)| {
                 let end = seq + seg.len;
                 let by_sequence = end <= highest_sacked && highest_sacked - end >= reorder_window;
                 let by_time = end <= highest_sacked && seg.sent_at + loss_delay <= now;
                 (by_sequence || by_time) && (!seg.retransmitted || seg.sent_at + loss_delay <= now)
             })
-            .map(|(&seq, seg)| (seq, seg.len))
+            .map(|(seq, _)| seq)
             .collect();
         if holes.is_empty() {
             return;
         }
-        for (seq, len) in &holes {
-            self.in_flight.remove(seq).expect("hole tracked");
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(*len);
-            self.rtx_queue.insert(*seq, *len);
+        for seq in holes {
+            let Some(seg) = self.in_flight.remove(seq) else {
+                continue;
+            };
+            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
+            self.rtx_queue.insert(seq, seg.len);
             self.force_rtx_credit += 1;
         }
         if !self.in_recovery {
@@ -792,8 +787,8 @@ impl TcpConnection {
 
     fn markers_in_range(&self, seq: u64, len: u64) -> Vec<(u64, MsgTag)> {
         self.send_markers
-            .range(seq + 1..=seq + len)
-            .map(|(&end, &tag)| (end, tag))
+            .between(seq + 1, seq + len)
+            .map(|(end, &tag)| (end, tag))
             .collect()
     }
 
@@ -1402,7 +1397,7 @@ mod tests {
         let later = SimTime::ZERO + SimDuration::from_secs(10);
         client.process_sack(&[(mss, 2 * mss)], later);
         assert!(
-            !client.in_flight.contains_key(&mss),
+            client.in_flight.iter().all(|(seq, _)| seq != mss),
             "sacked segment left the pipe"
         );
         assert_eq!(
@@ -1411,7 +1406,11 @@ mod tests {
             "only the segment below the sacked block is a hole"
         );
         assert_eq!(
-            client.in_flight.keys().copied().collect::<Vec<_>>(),
+            client
+                .in_flight
+                .iter()
+                .map(|(seq, _)| seq)
+                .collect::<Vec<_>>(),
             vec![2 * mss, 3 * mss, 4 * mss],
             "segments starting at or above the highest sacked byte stay in flight"
         );
