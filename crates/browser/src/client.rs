@@ -1,7 +1,7 @@
 //! The browser client host: resource scheduling, connection pooling,
 //! session resumption, and HAR emission.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use h3cdn_cdn::locedge;
 use h3cdn_har::{EntryTiming, HarEntry, HarPage};
@@ -9,7 +9,7 @@ use h3cdn_http::h1::H1Client;
 use h3cdn_http::{ClientConn, HttpEvent, HttpVersion, RequestMeta};
 use h3cdn_netsim::{NodeCtx, NodeId};
 use h3cdn_sim_core::units::ByteCount;
-use h3cdn_sim_core::{SimDuration, SimRng, SimTime};
+use h3cdn_sim_core::{DueQueue, SimDuration, SimRng, SimTime};
 use h3cdn_transport::quic::QuicConfig;
 use h3cdn_transport::tcp::TcpConfig;
 use h3cdn_transport::tls::{TicketStore, TlsConfig, TlsVersion};
@@ -17,7 +17,7 @@ use h3cdn_transport::{CcAlgorithm, CloseReason, ConnId, WirePacket};
 use h3cdn_web::{DomainId, Hosting, Resource};
 
 use crate::config::ProtocolMode;
-use crate::host::DirtySet;
+use crate::host::SortedSet;
 use crate::resilience::{BrokenQuicCache, ResilienceStats};
 
 /// Browsers open at most this many parallel H1 connections per host.
@@ -166,8 +166,8 @@ pub(crate) struct ClientHost {
     /// Domain → instant its name resolution completes.
     dns_resolved_at: BTreeMap<DomainId, SimTime>,
     /// Requests parked until their domain resolves (or until a re-dial
-    /// backoff elapses), keyed by ready time.
-    parked: BTreeMap<SimTime, Vec<usize>>,
+    /// backoff elapses), released at their ready time.
+    parked: DueQueue<usize>,
     /// Chrome-style graceful-degradation machinery (H3→H2 races, the
     /// broken-QUIC memory, TCP re-dials). Off by default so fault-free
     /// measurements are byte-identical to the pre-fallback stack.
@@ -183,11 +183,11 @@ pub(crate) struct ClientHost {
     /// only release packets in response to input (a packet, a fired
     /// timer, a request), so the pump polls exactly these instead of
     /// scanning every connection per event.
-    dirty: DirtySet,
+    dirty: SortedSet<ConnId>,
     /// `(deadline, conn)` pairs mirroring each connection's
     /// `next_timeout()`, so the per-event wakeup re-arm reads one key
     /// instead of scanning every connection.
-    timeouts: BTreeSet<(SimTime, ConnId)>,
+    timeouts: SortedSet<(SimTime, ConnId)>,
     /// Current pump round (see [`ConnState::born_round`]).
     pump_round: u64,
     /// Fallback/retry counters for the fault-matrix report.
@@ -258,14 +258,14 @@ impl ClientHost {
             page_done_at: None,
             har_rng: SimRng::seed_from(har_seed),
             dns_resolved_at: BTreeMap::new(),
-            parked: BTreeMap::new(),
+            parked: DueQueue::new(),
             h3_fallback: false,
             broken_quic: BrokenQuicCache::new(),
             h3_races: BTreeMap::new(),
             retry_attempts: BTreeMap::new(),
             resilience: ResilienceStats::default(),
-            dirty: DirtySet::default(),
-            timeouts: BTreeSet::new(),
+            dirty: SortedSet::default(),
+            timeouts: SortedSet::default(),
             pump_round: 0,
         }
     }
@@ -327,11 +327,11 @@ impl ClientHost {
             // so the walk stops at the first future deadline). Each
             // `on_timeout` only mutates its own connection, so index
             // order is as good as the id order of the old full scan.
-            while let Some(&(t, id)) = self.timeouts.first() {
+            while let Some((t, id)) = self.timeouts.first() {
                 if t > now {
                     break;
                 }
-                self.timeouts.remove(&(t, id));
+                self.timeouts.pop_first();
                 let Some(st) = self.conns.get_mut(id) else {
                     continue;
                 };
@@ -340,11 +340,8 @@ impl ClientHost {
                 self.dirty.insert(id);
             }
         }
-        let due: Vec<SimTime> = self.parked.range(..=now).map(|(&t, _)| t).collect();
-        for t in due {
-            for idx in self.parked.remove(&t).expect("due batch") {
-                self.dispatch_resolved(idx, now);
-            }
+        while let Some(idx) = self.parked.pop_due(now) {
+            self.dispatch_resolved(idx, now);
         }
         let lost_races: Vec<ConnId> = self
             .h3_races
@@ -388,8 +385,8 @@ impl ClientHost {
         if !self.started {
             return Some(self.start_at);
         }
-        let conn_deadline = self.timeouts.first().map(|&(t, _)| t);
-        let parked = self.parked.keys().next().copied();
+        let conn_deadline = self.timeouts.first().map(|(t, _)| t);
+        let parked = self.parked.next_due();
         let race = self.h3_races.values().min().copied();
         [conn_deadline, parked, race].into_iter().flatten().min()
     }
@@ -458,7 +455,7 @@ impl ClientHost {
             return;
         }
         if let Some(old) = st.armed.take() {
-            self.timeouts.remove(&(old, id));
+            self.timeouts.remove((old, id));
         }
         if let Some(t) = fresh {
             self.timeouts.insert((t, id));
@@ -572,7 +569,9 @@ impl ClientHost {
                 let delay = redial_backoff(*attempt);
                 *attempt += 1;
                 self.resilience.conn_retries += 1;
-                self.parked.entry(at + delay).or_default().extend(stranded);
+                for idx in stranded {
+                    self.parked.push(at + delay, idx);
+                }
             }
         }
     }
@@ -665,7 +664,7 @@ impl ClientHost {
         };
         if ready > now {
             self.entries[idx].dns_ms = (ready - now).as_millis_f64();
-            self.parked.entry(ready).or_default().push(idx);
+            self.parked.push(ready, idx);
         } else {
             self.dispatch_resolved(idx, now);
         }
@@ -929,7 +928,7 @@ mod tests {
             len: 0,
             ack: 0,
             rwnd: 0,
-            markers: vec![],
+            markers: h3cdn_transport::Markers::new(),
             sack: vec![],
         })
     }
@@ -961,7 +960,7 @@ mod tests {
     fn packets_for_unknown_connections_are_ignored() {
         let mut host = two_domain_client();
         let far = host.open_conn(DomainId(1), HttpVersion::H2, SimTime::ZERO);
-        host.dirty = DirtySet::default();
+        host.dirty = SortedSet::default();
         let unknown = [
             // A port no connection has yet.
             ConnId::new(NodeId::from_raw(0), far.server, 9),

@@ -2,54 +2,67 @@
 
 use h3cdn_netsim::{Node, NodeCtx, TransportClass};
 use h3cdn_sim_core::SimTime;
-use h3cdn_transport::{ConnId, WirePacket};
+use h3cdn_transport::WirePacket;
 
 use crate::client::ClientHost;
 use crate::server::ServerHost;
 
-/// The connections a host must poll, as a sorted `Vec`. A host holds a
-/// handful to a few dozen connections, so a binary search and a short
-/// shift replace the tree search per packet, and every walk stays in
-/// `ConnId` order: (server, port) at a client, (client, port) at a
-/// server. That order is what keeps the simulation outputs fixed.
-#[derive(Debug, Default)]
-pub(crate) struct DirtySet {
-    ids: Vec<ConnId>,
+/// A small ordered set as a sorted `Vec`. The hosts keep two per side:
+/// the connections to poll (`ConnId`) and the armed connection timers
+/// (`(SimTime, ConnId)`). A host holds a handful to a few dozen
+/// connections, so a binary search and a short shift replace the tree
+/// search and node allocation per packet, and every walk stays in key
+/// order: (server, port) at a client, (client, port) at a server, and
+/// deadline first for timers. That order is what keeps the simulation
+/// outputs fixed.
+#[derive(Debug)]
+pub(crate) struct SortedSet<T> {
+    items: Vec<T>,
 }
 
-impl DirtySet {
-    /// Adds `id` (a no-op when it is already present).
-    pub fn insert(&mut self, id: ConnId) {
-        if let Err(at) = self.ids.binary_search(&id) {
-            self.ids.insert(at, id);
+impl<T> Default for SortedSet<T> {
+    fn default() -> Self {
+        SortedSet { items: Vec::new() }
+    }
+}
+
+impl<T: Ord + Copy> SortedSet<T> {
+    /// Adds `item` (a no-op when it is already present).
+    pub fn insert(&mut self, item: T) {
+        if let Err(at) = self.items.binary_search(&item) {
+            self.items.insert(at, item);
         }
     }
 
-    /// Removes `id` if present.
-    pub fn remove(&mut self, id: ConnId) {
-        if let Ok(at) = self.ids.binary_search(&id) {
-            self.ids.remove(at);
+    /// Removes `item` if present.
+    pub fn remove(&mut self, item: T) {
+        if let Ok(at) = self.items.binary_search(&item) {
+            self.items.remove(at);
         }
     }
 
-    /// Removes and returns the smallest id.
-    pub fn pop_first(&mut self) -> Option<ConnId> {
-        if self.ids.is_empty() {
+    /// The smallest item.
+    pub fn first(&self) -> Option<T> {
+        self.items.first().copied()
+    }
+
+    /// Removes and returns the smallest item.
+    pub fn pop_first(&mut self) -> Option<T> {
+        if self.items.is_empty() {
             return None;
         }
-        Some(self.ids.remove(0))
+        Some(self.items.remove(0))
     }
 
-    /// Whether no connection is marked.
+    /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.items.is_empty()
     }
 
-    /// Marked ids strictly after `cursor` (all of them for `None`),
-    /// ascending.
-    pub fn after(&self, cursor: Option<ConnId>) -> impl Iterator<Item = ConnId> + '_ {
-        let from = cursor.map_or(0, |c| self.ids.partition_point(|&id| id <= c));
-        self.ids.get(from..).unwrap_or_default().iter().copied()
+    /// Items strictly after `cursor` (all of them for `None`), ascending.
+    pub fn after(&self, cursor: Option<T>) -> impl Iterator<Item = T> + '_ {
+        let from = cursor.map_or(0, |c| self.items.partition_point(|&item| item <= c));
+        self.items.get(from..).unwrap_or_default().iter().copied()
     }
 }
 

@@ -1,7 +1,6 @@
 //! The server side of a visit: one node per domain, accepting TCP and
 //! QUIC connections and answering from its catalog.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use h3cdn_cdn::{Admission, EdgeState, EdgeStats, HandshakeKind};
@@ -12,9 +11,9 @@ use h3cdn_sim_core::units::ByteCount;
 use h3cdn_sim_core::{SimDuration, SimTime};
 use h3cdn_transport::quic::{Frame, QuicConfig, QuicPacket};
 use h3cdn_transport::tcp::{TcpConfig, TcpSegment};
-use h3cdn_transport::{ConnId, WirePacket};
+use h3cdn_transport::{ConnId, Markers, WirePacket};
 
-use crate::host::DirtySet;
+use crate::host::SortedSet;
 
 /// Stable key for one connection in the edge's admission ledger: the
 /// client node and its ephemeral port (the server node is the edge).
@@ -42,7 +41,7 @@ fn refusal_packet(kind: HandshakeKind, id: ConnId) -> WirePacket {
             len: 0,
             ack: 0,
             rwnd: 0,
-            markers: vec![],
+            markers: Markers::new(),
             sack: vec![],
         }),
     }
@@ -117,11 +116,11 @@ pub(crate) struct ServerHost {
     conns: AcceptTable,
     /// Connections with potentially-pending output (fed a packet or a
     /// fired timer since last drained). The pump polls exactly these.
-    dirty: DirtySet,
+    dirty: SortedSet<ConnId>,
     /// `(deadline, conn)` pairs mirroring each connection's
     /// `next_timeout()` — the wakeup re-arm reads one key instead of
     /// scanning every connection.
-    timeouts: BTreeSet<(SimTime, ConnId)>,
+    timeouts: SortedSet<(SimTime, ConnId)>,
     /// Finite-resource admission controller. `None` models the
     /// infinitely provisioned edge of the client-side experiments —
     /// that path is bit-identical to the pre-edge server.
@@ -142,8 +141,8 @@ impl ServerHost {
             quic_config,
             h3_extra_processing,
             conns: AcceptTable::default(),
-            dirty: DirtySet::default(),
-            timeouts: BTreeSet::new(),
+            dirty: SortedSet::default(),
+            timeouts: SortedSet::default(),
             edge: None,
         }
     }
@@ -236,11 +235,11 @@ impl ServerHost {
         // Walk the time-ordered index instead of scanning every conn;
         // `on_timeout` only mutates its own connection, so index order is
         // as good as the id order of the old scan.
-        while let Some(&(t, id)) = self.timeouts.first() {
+        while let Some((t, id)) = self.timeouts.first() {
             if t > now {
                 break;
             }
-            self.timeouts.remove(&(t, id));
+            self.timeouts.pop_first();
             let Some(accepted) = self.conns.get_mut(id) else {
                 continue;
             };
@@ -253,7 +252,7 @@ impl ServerHost {
 
     /// Earliest timer across connections.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.timeouts.first().map(|&(t, _)| t)
+        self.timeouts.first().map(|(t, _)| t)
     }
 
     fn pump(&mut self, ctx: &mut NodeCtx<'_, WirePacket>) {
@@ -262,7 +261,7 @@ impl ServerHost {
         // `poll_transmit` regardless of which event woke the node, so
         // every conn at-or-past its deadline must be polled too, not
         // just the ones fed input by this event.
-        for &(t, id) in &self.timeouts {
+        for (t, id) in self.timeouts.after(None) {
             if t > now {
                 break;
             }
@@ -288,7 +287,7 @@ impl ServerHost {
             let fresh = accepted.conn.next_timeout();
             if fresh != accepted.armed {
                 if let Some(old) = accepted.armed.take() {
-                    self.timeouts.remove(&(old, id));
+                    self.timeouts.remove((old, id));
                 }
                 if let Some(t) = fresh {
                     self.timeouts.insert((t, id));
@@ -315,7 +314,7 @@ mod tests {
             len: 0,
             ack: 0,
             rwnd: 0,
-            markers: vec![],
+            markers: Markers::new(),
             sack: vec![],
         })
     }

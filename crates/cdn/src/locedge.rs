@@ -84,20 +84,19 @@ pub fn classify(headers: &[Header], domain: &str) -> Option<Provider> {
     };
 
     if let Some(server) = find("server") {
-        let s = server.to_ascii_lowercase();
-        if s.contains("cloudflare") {
+        if contains_ignore_case(server, "cloudflare") {
             return Some(Provider::Cloudflare);
         }
-        if s == "gws" || s.contains("gse") {
+        if server.eq_ignore_ascii_case("gws") || contains_ignore_case(server, "gse") {
             return Some(Provider::Google);
         }
-        if s.contains("akamai") {
+        if contains_ignore_case(server, "akamai") {
             return Some(Provider::Akamai);
         }
-        if s.contains("ecacc") || s.contains("ecs (") {
+        if contains_ignore_case(server, "ecacc") || contains_ignore_case(server, "ecs (") {
             return Some(Provider::Microsoft);
         }
-        if s.contains("litespeed") && find("x-qc-pop").is_some() {
+        if contains_ignore_case(server, "litespeed") && find("x-qc-pop").is_some() {
             return Some(Provider::QuicCloud);
         }
     }
@@ -105,14 +104,13 @@ pub fn classify(headers: &[Header], domain: &str) -> Option<Provider> {
         return Some(Provider::Amazon);
     }
     if let Some(via) = find("via") {
-        let v = via.to_ascii_lowercase();
-        if v.contains("google") {
+        if contains_ignore_case(via, "google") {
             return Some(Provider::Google);
         }
-        if v.contains("cloudfront") {
+        if contains_ignore_case(via, "cloudfront") {
             return Some(Provider::Amazon);
         }
-        if v.contains("varnish") && find("x-served-by").is_some() {
+        if contains_ignore_case(via, "varnish") && find("x-served-by").is_some() {
             return Some(Provider::Fastly);
         }
     }
@@ -127,34 +125,204 @@ pub fn classify(headers: &[Header], domain: &str) -> Option<Provider> {
     }
 
     // Hostname fallback rules.
-    let d = domain.to_ascii_lowercase();
-    if d.ends_with("googleapis.com") || d.ends_with("gstatic.com") || d.ends_with("ggpht.com") {
+    let d = |suffix: &str| ends_with_ignore_case(domain, suffix);
+    if d("googleapis.com") || d("gstatic.com") || d("ggpht.com") {
         return Some(Provider::Google);
     }
-    if d.ends_with("cloudfront.net") {
+    if d("cloudfront.net") {
         return Some(Provider::Amazon);
     }
-    if d.ends_with("fastly.net") || d.ends_with("fastlylb.net") {
+    if d("fastly.net") || d("fastlylb.net") {
         return Some(Provider::Fastly);
     }
-    if d.ends_with("akamaized.net") || d.ends_with("akamaihd.net") {
+    if d("akamaized.net") || d("akamaihd.net") {
         return Some(Provider::Akamai);
     }
-    if d.ends_with("azureedge.net") {
+    if d("azureedge.net") {
         return Some(Provider::Microsoft);
     }
-    if d.ends_with("cdn.cloudflare.net") {
+    if d("cdn.cloudflare.net") {
         return Some(Provider::Cloudflare);
     }
-    if d.ends_with("quic.cloud") {
+    if d("quic.cloud") {
         return Some(Provider::QuicCloud);
     }
     None
 }
 
+/// Whether `haystack` contains the lower-case ASCII `needle`, ignoring
+/// ASCII case — `to_ascii_lowercase().contains(needle)` without the copy.
+fn contains_ignore_case(haystack: &str, needle: &str) -> bool {
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|window| window.eq_ignore_ascii_case(needle.as_bytes()))
+}
+
+/// Whether `haystack` ends with the lower-case ASCII `suffix`, ignoring
+/// ASCII case.
+fn ends_with_ignore_case(haystack: &str, suffix: &str) -> bool {
+    haystack
+        .len()
+        .checked_sub(suffix.len())
+        .and_then(|start| haystack.as_bytes().get(start..))
+        .is_some_and(|tail| tail.eq_ignore_ascii_case(suffix.as_bytes()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-allocation-free classifier, verbatim: it lower-cases the
+    /// `server`, `via` and domain values into new `String`s.
+    fn classify_lowercased(headers: &[Header], domain: &str) -> Option<Provider> {
+        let find = |name: &str| -> Option<&str> {
+            headers
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.as_str())
+        };
+
+        if let Some(server) = find("server") {
+            let s = server.to_ascii_lowercase();
+            if s.contains("cloudflare") {
+                return Some(Provider::Cloudflare);
+            }
+            if s == "gws" || s.contains("gse") {
+                return Some(Provider::Google);
+            }
+            if s.contains("akamai") {
+                return Some(Provider::Akamai);
+            }
+            if s.contains("ecacc") || s.contains("ecs (") {
+                return Some(Provider::Microsoft);
+            }
+            if s.contains("litespeed") && find("x-qc-pop").is_some() {
+                return Some(Provider::QuicCloud);
+            }
+        }
+        if find("x-amz-cf-id").is_some() || find("x-amz-cf-pop").is_some() {
+            return Some(Provider::Amazon);
+        }
+        if let Some(via) = find("via") {
+            let v = via.to_ascii_lowercase();
+            if v.contains("google") {
+                return Some(Provider::Google);
+            }
+            if v.contains("cloudfront") {
+                return Some(Provider::Amazon);
+            }
+            if v.contains("varnish") && find("x-served-by").is_some() {
+                return Some(Provider::Fastly);
+            }
+        }
+        if find("cf-ray").is_some() {
+            return Some(Provider::Cloudflare);
+        }
+        if find("x-azure-ref").is_some() {
+            return Some(Provider::Microsoft);
+        }
+        if find("x-cdn").is_some() {
+            return Some(Provider::Other);
+        }
+
+        // Hostname fallback rules.
+        let d = domain.to_ascii_lowercase();
+        if d.ends_with("googleapis.com") || d.ends_with("gstatic.com") || d.ends_with("ggpht.com") {
+            return Some(Provider::Google);
+        }
+        if d.ends_with("cloudfront.net") {
+            return Some(Provider::Amazon);
+        }
+        if d.ends_with("fastly.net") || d.ends_with("fastlylb.net") {
+            return Some(Provider::Fastly);
+        }
+        if d.ends_with("akamaized.net") || d.ends_with("akamaihd.net") {
+            return Some(Provider::Akamai);
+        }
+        if d.ends_with("azureedge.net") {
+            return Some(Provider::Microsoft);
+        }
+        if d.ends_with("cdn.cloudflare.net") {
+            return Some(Provider::Cloudflare);
+        }
+        if d.ends_with("quic.cloud") {
+            return Some(Provider::QuicCloud);
+        }
+        None
+    }
+
+    #[test]
+    fn case_insensitive_matching_agrees_with_lowercased_copies() {
+        fn variants(value: &str) -> Vec<String> {
+            let alternating: String = value
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c.to_ascii_lowercase()
+                    }
+                })
+                .collect();
+            vec![
+                value.to_owned(),
+                value.to_ascii_uppercase(),
+                value.to_ascii_lowercase(),
+                alternating,
+            ]
+        }
+        let mut rng = SimRng::seed_from(3);
+        let mut header_sets: Vec<Vec<Header>> = Provider::ALL
+            .iter()
+            .map(|&p| fingerprint_headers(p, &mut rng))
+            .collect();
+        header_sets.push(origin_headers());
+        header_sets.push(vec![]);
+        header_sets.push(vec![("server".into(), "ECS (dca/24A2)".into())]);
+        header_sets.push(vec![("server".into(), "GSE".into())]);
+        header_sets.push(vec![("server".into(), "gws2".into())]);
+        header_sets.push(vec![("server".into(), "Ünïcödé LiteSpeed".into())]);
+        let domains = [
+            "static.example.com",
+            "fonts.googleapis.com",
+            "d1.cloudfront.net",
+            "a.fastlylb.net",
+            "x.akamaihd.net",
+            "e.azureedge.net",
+            "s.cdn.cloudflare.net",
+            "q.quic.cloud",
+            "net",
+            "",
+        ];
+        let mut checked = 0;
+        for headers in &header_sets {
+            // Every header value in each case variant, one at a time.
+            let mut cases = vec![headers.clone()];
+            for (i, (_, value)) in headers.iter().enumerate() {
+                for variant in variants(value) {
+                    let mut changed = headers.clone();
+                    if let Some(slot) = changed.get_mut(i) {
+                        slot.1 = variant;
+                    }
+                    cases.push(changed);
+                }
+            }
+            for case in &cases {
+                for domain in domains.iter().flat_map(|d| variants(d)) {
+                    assert_eq!(
+                        classify(case, &domain),
+                        classify_lowercased(case, &domain),
+                        "headers {case:?}, domain {domain:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 1_000);
+    }
 
     #[test]
     fn every_provider_round_trips_through_headers() {

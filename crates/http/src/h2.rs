@@ -7,10 +7,10 @@
 //! one in-order TCP stream, loss anywhere stalls all streams: the
 //! head-of-line blocking the paper contrasts with H3.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use h3cdn_sim_core::{SimDuration, SimTime};
+use h3cdn_sim_core::{DueQueue, SimDuration, SimTime};
 use h3cdn_transport::tcp::TcpConfig;
 use h3cdn_transport::tls::{SecureTcp, TlsConfig, TlsEvent};
 use h3cdn_transport::{ConnId, WirePacket};
@@ -150,8 +150,8 @@ pub struct TcpServer {
     catalog: Arc<Catalog>,
     /// Extra processing added to every response (e.g. protocol surcharge).
     extra_processing: SimDuration,
-    /// Requests whose processing completes at the keyed time.
-    cooking: BTreeMap<SimTime, Vec<u64>>,
+    /// Requests waiting out their processing time, released when due.
+    cooking: DueQueue<u64>,
     /// Response bodies being interleaved.
     active: VecDeque<ActiveResponse>,
     requests_served: u64,
@@ -169,7 +169,7 @@ impl TcpServer {
             conn: SecureTcp::server(id, tcp),
             catalog,
             extra_processing,
-            cooking: BTreeMap::new(),
+            cooking: DueQueue::new(),
             active: VecDeque::new(),
             requests_served: 0,
         }
@@ -203,8 +203,7 @@ impl TcpServer {
 
     /// Next timer deadline: transport or earliest response-ready time.
     pub fn next_timeout(&self) -> Option<SimTime> {
-        let cooking = self.cooking.keys().next().copied();
-        [self.conn.next_timeout(), cooking]
+        [self.conn.next_timeout(), self.cooking.next_due()]
             .into_iter()
             .flatten()
             .min()
@@ -226,29 +225,26 @@ impl TcpServer {
                         .get(id)
                         .unwrap_or_else(|| panic!("request {id} not in catalog"));
                     let ready = at + spec.processing + self.extra_processing;
-                    self.cooking.entry(ready).or_default().push(id);
+                    self.cooking.push(ready, id);
                 }
             }
         }
         // 2. Move finished requests into the response pump.
-        let ready: Vec<SimTime> = self.cooking.range(..=now).map(|(&t, _)| t).collect();
-        for t in ready {
-            for id in self.cooking.remove(&t).expect("cooked batch") {
-                let spec = self.catalog.get(id).expect("catalog checked at ingest");
-                self.conn
-                    .write_app(spec.header_bytes + FRAME_OVERHEAD, response_headers_tag(id));
-                if spec.body_bytes == 0 {
-                    // Header-only response: completion rides on a 1-byte
-                    // sentinel chunk so the done tag has a final byte.
-                    self.conn.write_app(1, response_done_tag(id));
-                    self.requests_served += 1;
-                } else {
-                    self.active.push_back(ActiveResponse {
-                        id,
-                        remaining: spec.body_bytes,
-                        priority: spec.priority,
-                    });
-                }
+        while let Some(id) = self.cooking.pop_due(now) {
+            let spec = self.catalog.get(id).expect("catalog checked at ingest");
+            self.conn
+                .write_app(spec.header_bytes + FRAME_OVERHEAD, response_headers_tag(id));
+            if spec.body_bytes == 0 {
+                // Header-only response: completion rides on a 1-byte
+                // sentinel chunk so the done tag has a final byte.
+                self.conn.write_app(1, response_done_tag(id));
+                self.requests_served += 1;
+            } else {
+                self.active.push_back(ActiveResponse {
+                    id,
+                    remaining: spec.body_bytes,
+                    priority: spec.priority,
+                });
             }
         }
         // 3. Pump interleaved body chunks, keeping the transport fed but

@@ -5,10 +5,10 @@
 //! the paper credits H3 with — and, with a session ticket, requests leave
 //! at 0-RTT.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use h3cdn_sim_core::{SimDuration, SimTime};
+use h3cdn_sim_core::{DueQueue, SimDuration, SimTime};
 use h3cdn_transport::quic::{QuicConfig, QuicConnection, QuicEvent};
 use h3cdn_transport::tls::Ticket;
 use h3cdn_transport::{ConnId, WirePacket};
@@ -142,8 +142,8 @@ pub struct QuicServer {
     extra_processing: SimDuration,
     /// Request id → stream the response must use.
     request_streams: HashMap<u64, u64>,
-    /// Requests whose processing completes at the keyed time.
-    cooking: BTreeMap<SimTime, Vec<u64>>,
+    /// Requests waiting out their processing time, released when due.
+    cooking: DueQueue<u64>,
     requests_served: u64,
 }
 
@@ -160,7 +160,7 @@ impl QuicServer {
             catalog,
             extra_processing,
             request_streams: HashMap::new(),
-            cooking: BTreeMap::new(),
+            cooking: DueQueue::new(),
             requests_served: 0,
         }
     }
@@ -198,8 +198,7 @@ impl QuicServer {
 
     /// Next timer deadline: transport or earliest response-ready time.
     pub fn next_timeout(&self) -> Option<SimTime> {
-        let cooking = self.cooking.keys().next().copied();
-        [self.conn.next_timeout(), cooking]
+        [self.conn.next_timeout(), self.cooking.next_due()]
             .into_iter()
             .flatten()
             .min()
@@ -221,27 +220,24 @@ impl QuicServer {
                         .unwrap_or_else(|| panic!("request {id} not in catalog"));
                     self.request_streams.insert(id, stream);
                     let ready = at + spec.processing + self.extra_processing;
-                    self.cooking.entry(ready).or_default().push(id);
+                    self.cooking.push(ready, id);
                 }
             }
         }
-        let ready: Vec<SimTime> = self.cooking.range(..=now).map(|(&t, _)| t).collect();
-        for t in ready {
-            for id in self.cooking.remove(&t).expect("cooked batch") {
-                let spec = self.catalog.get(id).expect("catalog checked at ingest");
-                let stream = self.request_streams[&id];
-                self.conn.set_stream_priority(stream, spec.priority);
-                self.conn.write_stream(
-                    stream,
-                    spec.header_bytes + FRAME_OVERHEAD,
-                    response_headers_tag(id),
-                );
-                // QUIC round-robins frames across streams, so the whole
-                // body can be queued at once; completion is the final byte.
-                self.conn
-                    .write_stream(stream, spec.body_bytes.max(1), response_done_tag(id));
-                self.requests_served += 1;
-            }
+        while let Some(id) = self.cooking.pop_due(now) {
+            let spec = self.catalog.get(id).expect("catalog checked at ingest");
+            let stream = self.request_streams[&id];
+            self.conn.set_stream_priority(stream, spec.priority);
+            self.conn.write_stream(
+                stream,
+                spec.header_bytes + FRAME_OVERHEAD,
+                response_headers_tag(id),
+            );
+            // QUIC round-robins frames across streams, so the whole
+            // body can be queued at once; completion is the final byte.
+            self.conn
+                .write_stream(stream, spec.body_bytes.max(1), response_done_tag(id));
+            self.requests_served += 1;
         }
     }
 }

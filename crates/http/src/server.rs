@@ -118,7 +118,7 @@ mod tests {
             len: 0,
             ack: 0,
             rwnd: 1,
-            markers: vec![],
+            markers: h3cdn_transport::Markers::new(),
             sack: vec![],
         });
         let quic_pkt = WirePacket::Quic(QuicPacket {

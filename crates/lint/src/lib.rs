@@ -140,6 +140,7 @@ pub(crate) const RESULT_WRITE_CRATES: &[&str] = &["core", "experiments"];
 pub(crate) const HOT_PATH_FILES: &[&str] = &[
     "crates/netsim/src/engine.rs",
     "crates/sim-core/src/event.rs",
+    "crates/transport/src/markers.rs",
     "crates/transport/src/seq_deque.rs",
 ];
 

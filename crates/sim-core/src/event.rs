@@ -25,16 +25,32 @@
 //!   Whenever the window advances, newly in-window events are promoted.
 //!
 //! Occupied slots are tracked in per-level bitmaps so finding the next
-//! event is a couple of `u64::trailing_zeros`. Within a slot the earliest
-//! `(time, seq)` key is selected by linear scan — slots are ≈65 µs wide,
-//! so occupancy is tiny — which is what preserves the FIFO stability
-//! contract *exactly*: selection is by the same total order the old heap
-//! used, merely bucketed.
+//! event is a couple of `u64::trailing_zeros`.
+//!
+//! Every pending event, whichever level holds it, lives in one node of a
+//! single `Vec` arena. A slot is a singly linked list of `u32` node
+//! indices (head and tail per slot, `NIL` when empty), and the overflow
+//! heap orders `(time, seq, index)` keys rather than whole events. Popped
+//! nodes go onto a free list threaded through the same `next` field and
+//! are reused before the arena grows, so the arena is never longer than
+//! the peak number of pending events and a fresh queue grows exactly one
+//! buffer. Moving events between levels (L1→L0 redistribution, overflow
+//! promotion) relinks indices; the events themselves never move.
+//!
+//! Level-0 lists are kept in full `(time, seq)` order, which is what
+//! preserves the FIFO stability contract *exactly*: the next event is the
+//! head of the first occupied L0 slot, by the same total order the old
+//! heap used, merely bucketed. Events mostly arrive in time order, so a
+//! sorted insert is usually an append after the tail; otherwise it walks
+//! a list of the few events in one ≈65 µs slot. Level-1 lists are in
+//! arrival order (an L1 slot can hold hundreds of events, and a sorted
+//! insert there would walk them); they are sorted as they move down into
+//! 256 short L0 lists.
 //!
 //! Events scheduled at or before the cursor (the engine schedules wakeups
-//! at `now` routinely) go into the cursor's current slot; selection by
-//! full key keeps them correctly ordered against everything else there,
-//! and no earlier slot can be non-empty.
+//! at `now` routinely) go into the cursor's current slot; ordering by full
+//! key keeps them correct against everything else there, and no earlier
+//! slot can be non-empty.
 //!
 //! The old heap survives as [`LegacyEventQueue`] (behind the default
 //! `legacy-queue` feature) purely as a differential-test oracle — see
@@ -55,6 +71,8 @@ const SLOT_BITS: u32 = 8;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Ring-index mask.
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A priority queue of `(SimTime, E)` pairs popped in chronological order,
 /// FIFO among ties.
@@ -74,18 +92,20 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Level-0 slots, aligned to the cursor's L1 slot.
-    l0: Vec<Vec<Entry<E>>>,
-    /// Level-1 slots, a ring over the L1 window.
-    l1: Vec<Vec<Entry<E>>>,
+    /// Every pending event, plus the free nodes awaiting reuse.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list.
+    free: u32,
+    /// Level-0 slot lists, aligned to the cursor's L1 slot.
+    l0: [List; SLOTS],
+    /// Level-1 slot lists, a ring over the L1 window.
+    l1: [List; SLOTS],
     /// Occupancy bitmap per level, one bit per slot.
     l0_occ: [u64; SLOTS / 64],
     l1_occ: [u64; SLOTS / 64],
-    /// Events beyond the L1 window, earliest `(time, seq)` on top.
-    overflow: BinaryHeap<Entry<E>>,
-    /// Reusable buffer for draining an L1 slot into L0; its capacity
-    /// circulates through the slots instead of being reallocated.
-    drain_scratch: Vec<Entry<E>>,
+    /// Keys of the events beyond the L1 window, earliest `(time, seq)` on
+    /// top; each entry's payload is its node index.
+    overflow: BinaryHeap<Entry<u32>>,
     /// Time floor in nanoseconds: every event ever popped was ≤ `cursor`'s
     /// slot, and no pending event lives in a slot before it.
     cursor: u64,
@@ -93,6 +113,36 @@ pub struct EventQueue<E> {
     len: usize,
     next_seq: u64,
 }
+
+/// One arena node: a pending event linked into its slot list, or a free
+/// node (`event: None`) linked into the free list.
+#[derive(Debug, Clone)]
+struct Node<E> {
+    at: SimTime,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+impl<E> Node<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
+/// One slot: a singly linked list of node indices. Level-0 lists are kept
+/// in `(time, seq)` order, so the head is the slot's next event; level-1
+/// lists are in arrival order and sorted only as they move down.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
 
 #[derive(Debug, Clone)]
 struct Entry<E> {
@@ -168,17 +218,6 @@ fn occ_next(occ: &[u64; SLOTS / 64], from: usize) -> Option<usize> {
     None
 }
 
-/// Index of the entry with the minimal `(time, seq)` key, or `None` for
-/// an empty bucket. Keys are unique (the seq counter never repeats), so
-/// the minimum is unambiguous.
-fn min_key_index<E>(bucket: &[Entry<E>]) -> Option<usize> {
-    bucket
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, e)| e.key())
-        .map(|(i, _)| i)
-}
-
 /// Distance (1..SLOTS) from ring index `from` to the nearest occupied slot,
 /// scanning forward with wrap-around. The slot at `from` itself is never
 /// occupied at the call sites (its events would have been placed a level
@@ -190,27 +229,28 @@ fn occ_next_wrap(occ: &[u64; SLOTS / 64], from: usize) -> Option<usize> {
     occ_next(occ, 0).map(|slot| SLOTS - from + slot)
 }
 
+/// Level-0 slot of time `t` (nanoseconds).
+fn l0_slot(t: u64) -> usize {
+    ((t >> L0_SHIFT) & SLOT_MASK) as usize
+}
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with `capacity` reserved in the overflow
-    /// level (the only part that reallocates on growth; wheel slots grow
-    /// lazily and keep their capacity across [`EventQueue::clear`]).
+    /// Creates an empty queue with room for `capacity` pending events
+    /// before the node arena or the overflow level reallocates.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            // One-time construction; slot capacity circulates afterwards.
-            // h3cdn-lint: allow(hot-path-alloc)
-            l0: (0..SLOTS).map(|_| Vec::new()).collect(),
-            // h3cdn-lint: allow(hot-path-alloc)
-            l1: (0..SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::with_capacity(capacity),
+            free: NIL,
+            l0: [EMPTY; SLOTS],
+            l1: [EMPTY; SLOTS],
             l0_occ: [0; SLOTS / 64],
             l1_occ: [0; SLOTS / 64],
             overflow: BinaryHeap::with_capacity(capacity),
-            // h3cdn-lint: allow(hot-path-alloc)
-            drain_scratch: Vec::new(),
             cursor: 0,
             len: 0,
             next_seq: 0,
@@ -219,73 +259,80 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        let idx = self.alloc(at, event);
+        self.place(idx);
+    }
+
+    /// Schedules `event` at the current instant `now` (the time of the
+    /// event being dispatched). Placement is the same constant-time
+    /// bucketing as [`EventQueue::schedule`]; events at or before the
+    /// cursor join the cursor's slot.
+    pub fn schedule_now(&mut self, now: SimTime, event: E) {
+        self.schedule(now, event);
+    }
+
+    /// Stores a new pending event in a free node (growing the arena only
+    /// when none is free) and returns its index, unlinked.
+    fn alloc(&mut self, at: SimTime, event: E) -> u32 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        self.place(Entry { at, seq, event });
-    }
-
-    /// Fast path for scheduling at the current instant: `now` must be the
-    /// time of the event being dispatched (i.e. ≤ the cursor's slot), which
-    /// lets the queue skip level selection and push straight into the
-    /// cursor slot. Falls back to [`EventQueue::schedule`] otherwise.
-    pub fn schedule_now(&mut self, now: SimTime, event: E) {
-        let idx = ((self.cursor >> L0_SHIFT) & SLOT_MASK) as usize;
-        match self.l0.get_mut(idx) {
-            Some(bucket) if now.as_nanos() >> L0_SHIFT <= self.cursor >> L0_SHIFT => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.len += 1;
-                bucket.push(Entry {
-                    at: now,
-                    seq,
-                    event,
-                });
-                occ_set(&mut self.l0_occ, idx);
-            }
-            _ => self.schedule(now, event),
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        let idx = self.free;
+        if let Some(slot) = self.nodes.get_mut(idx as usize) {
+            self.free = slot.next;
+            *slot = node;
+            return idx;
         }
+        // Indices stay below `NIL`: four billion pending events would
+        // exhaust memory long before the arena reached it.
+        let idx = self.nodes.len() as u32;
+        self.nodes.push(node);
+        idx
     }
 
-    /// Buckets an entry by its distance from the cursor. Entries at or
+    /// Buckets node `idx` by its distance from the cursor. Events at or
     /// before the cursor join the cursor's slot: no earlier slot can hold
-    /// pending events, and within-slot selection is by full `(time, seq)`
-    /// key, so ordering is preserved.
-    fn place(&mut self, entry: Entry<E>) {
-        // The overflow heap is a correct (if slower) home for any entry,
-        // so the masked slot lookups degrade to it instead of panicking.
-        let t = entry.at.as_nanos();
+    /// pending events, and slot lists are ordered by the full
+    /// `(time, seq)` key, so ordering is preserved.
+    fn place(&mut self, idx: u32) {
+        let Some(node) = self.nodes.get(idx as usize) else {
+            return;
+        };
+        let (at, seq) = node.key();
+        let t = at.as_nanos();
         let cur = self.cursor;
-        if t <= cur {
-            let idx = ((cur >> L0_SHIFT) & SLOT_MASK) as usize;
-            match self.l0.get_mut(idx) {
-                Some(bucket) => {
-                    bucket.push(entry);
-                    occ_set(&mut self.l0_occ, idx);
-                }
-                None => self.overflow.push(entry),
-            }
+        let wheel = if t <= cur {
+            Some((&mut self.l0, &mut self.l0_occ, l0_slot(cur), true))
         } else if t >> L1_SHIFT == cur >> L1_SHIFT {
-            let idx = ((t >> L0_SHIFT) & SLOT_MASK) as usize;
-            match self.l0.get_mut(idx) {
-                Some(bucket) => {
-                    bucket.push(entry);
-                    occ_set(&mut self.l0_occ, idx);
-                }
-                None => self.overflow.push(entry),
-            }
+            Some((&mut self.l0, &mut self.l0_occ, l0_slot(t), true))
         } else if (t >> L1_SHIFT) - (cur >> L1_SHIFT) < SLOTS as u64 {
-            let idx = ((t >> L1_SHIFT) & SLOT_MASK) as usize;
-            match self.l1.get_mut(idx) {
-                Some(bucket) => {
-                    bucket.push(entry);
-                    occ_set(&mut self.l1_occ, idx);
-                }
-                None => self.overflow.push(entry),
-            }
+            let slot = ((t >> L1_SHIFT) & SLOT_MASK) as usize;
+            Some((&mut self.l1, &mut self.l1_occ, slot, false))
         } else {
-            self.overflow.push(entry);
+            None
+        };
+        if let Some((lists, occ, slot, sorted)) = wheel {
+            if let Some(list) = lists.get_mut(slot) {
+                if link(&mut self.nodes, list, idx, sorted) {
+                    occ_set(occ, slot);
+                    return;
+                }
+            }
         }
+        // Beyond the L1 window. The overflow heap is also a correct (if
+        // slower) home for any event, so a failed link degrades to it
+        // instead of panicking.
+        self.overflow.push(Entry {
+            at,
+            seq,
+            event: idx,
+        });
     }
 
     /// Moves overflow events that the advancing window now covers into the
@@ -293,23 +340,22 @@ impl<E> EventQueue<E> {
     fn promote_overflow(&mut self) {
         let c1 = self.cursor >> L1_SHIFT;
         loop {
-            let entry = match self.overflow.peek_mut() {
+            let idx = match self.overflow.peek_mut() {
                 Some(top) if (top.at.as_nanos() >> L1_SHIFT) - c1 < SLOTS as u64 => {
-                    std::collections::binary_heap::PeekMut::pop(top)
+                    std::collections::binary_heap::PeekMut::pop(top).event
                 }
                 _ => break,
             };
-            self.place(entry);
+            self.place(idx);
         }
     }
 
     /// Advances the cursor until level 0 holds the next pending event and
-    /// returns the first occupied L0 slot (which holds the global
+    /// returns the first occupied L0 slot (whose head is the global
     /// minimum), or `None` when the queue is empty.
     fn advance_to_l0(&mut self) -> Option<usize> {
         loop {
-            let cur_idx = ((self.cursor >> L0_SHIFT) & SLOT_MASK) as usize;
-            if let Some(slot) = occ_next(&self.l0_occ, cur_idx) {
+            if let Some(slot) = occ_next(&self.l0_occ, l0_slot(self.cursor)) {
                 return Some(slot);
             }
             // L0 exhausted: redistribute the next occupied L1 slot.
@@ -318,22 +364,22 @@ impl<E> EventQueue<E> {
                 // The slot holds an event with `t >> L1_SHIFT == abs`, so
                 // `abs << L1_SHIFT` cannot overflow.
                 let abs = c1 + dist as u64;
-                let idx = (abs & SLOT_MASK) as usize;
+                let slot = (abs & SLOT_MASK) as usize;
                 self.cursor = abs << L1_SHIFT;
-                occ_clear(&mut self.l1_occ, idx);
-                let Some(slot_bucket) = self.l1.get_mut(idx) else {
-                    // Unreachable (idx is masked); the bit is already
-                    // cleared, so rescanning makes progress.
-                    continue;
-                };
-                // Swap the slot out through the scratch buffer so slot
-                // capacities circulate instead of being reallocated.
-                std::mem::swap(slot_bucket, &mut self.drain_scratch);
+                occ_clear(&mut self.l1_occ, slot);
+                // Detach the whole list (the bit is already cleared, so an
+                // unreachable miss still makes progress), then relink its
+                // nodes one level down. The L1 slot spreads over 256 L0
+                // slots, so the sorted inserts walk short lists.
+                let mut idx = self
+                    .l1
+                    .get_mut(slot)
+                    .map_or(NIL, |list| std::mem::replace(list, EMPTY).head);
                 self.promote_overflow();
-                while let Some(entry) = self.drain_scratch.pop() {
-                    // Drain order within a slot is irrelevant: selection
-                    // is by the full (time, seq) key.
-                    self.place(entry);
+                while let Some(node) = self.nodes.get(idx as usize) {
+                    let next = node.next;
+                    self.place(idx);
+                    idx = next;
                 }
                 continue;
             }
@@ -344,77 +390,77 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pops the minimum-key entry out of L0 slot `slot` (as returned by
-    /// [`EventQueue::advance_to_l0`]).
-    fn pop_l0(&mut self, slot: usize) -> Option<(SimTime, E)> {
-        // Advance the cursor to the slot being drained (bit-or: the slot
-        // lives in the cursor's L1 window, so this cannot overflow).
-        self.cursor = self
-            .cursor
-            .max((self.cursor >> L1_SHIFT << L1_SHIFT) | ((slot as u64) << L0_SHIFT));
-        let bucket = self.l0.get_mut(slot)?;
-        let min = min_key_index(bucket)?;
-        // swap_remove is safe for FIFO: order within a bucket is
-        // irrelevant because selection is by the total (time, seq) key.
-        let entry = bucket.swap_remove(min);
-        if bucket.is_empty() {
+    /// Time of the first event in the sorted (level-0) `list`.
+    fn head_time(&self, list: Option<&List>) -> Option<SimTime> {
+        self.nodes.get(list?.head as usize).map(|node| node.at)
+    }
+
+    /// Earliest event time in the arrival-ordered (level-1) `list`.
+    fn min_time(&self, list: Option<&List>) -> Option<SimTime> {
+        let mut idx = list?.head;
+        let mut min = None;
+        while let Some(node) = self.nodes.get(idx as usize) {
+            min = Some(min.map_or(node.at, |m: SimTime| m.min(node.at)));
+            idx = node.next;
+        }
+        min
+    }
+
+    /// Unlinks the head of L0 slot `slot`, returns its node to the free
+    /// list and yields its event.
+    fn pop_head(&mut self, slot: usize) -> Option<(SimTime, E)> {
+        let list = self.l0.get_mut(slot)?;
+        let idx = list.head;
+        let node = self.nodes.get_mut(idx as usize)?;
+        let event = node.event.take()?;
+        list.head = std::mem::replace(&mut node.next, self.free);
+        self.free = idx;
+        if list.head == NIL {
+            *list = EMPTY;
             occ_clear(&mut self.l0_occ, slot);
         }
         self.len -= 1;
-        Some((entry.at, entry.event))
+        Some((node.at, event))
     }
 
     /// Removes and returns the chronologically next event, or `None` when
     /// the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let slot = self.advance_to_l0()?;
-        self.pop_l0(slot)
+        // Advance the cursor to the slot being drained (bit-or: the slot
+        // lives in the cursor's L1 window, so this cannot overflow).
+        self.cursor = self
+            .cursor
+            .max((self.cursor >> L1_SHIFT << L1_SHIFT) | ((slot as u64) << L0_SHIFT));
+        self.pop_head(slot)
     }
 
     /// Removes and returns the next event if it is due at or before
-    /// `deadline`. A single wheel walk — one occupancy scan, one bucket
-    /// scan — replaces the `peek_time` + `pop` pair on the engine hot
+    /// `deadline`. A single wheel walk — one occupancy scan, one head
+    /// read — replaces the `peek_time` + `pop` pair on the engine hot
     /// path.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         let slot = self.advance_to_l0()?;
-        // Cheap pre-check: if even the slot's start is past the deadline,
-        // every event in or after it is too.
+        if self.head_time(self.l0.get(slot))? > deadline {
+            return None;
+        }
         let slot_start = (self.cursor >> L1_SHIFT << L1_SHIFT) | ((slot as u64) << L0_SHIFT);
-        if slot_start > deadline.as_nanos() {
-            return None;
-        }
-        let bucket = self.l0.get_mut(slot)?;
-        let min = min_key_index(bucket)?;
-        if bucket.get(min).is_none_or(|e| e.at > deadline) {
-            return None;
-        }
-        let entry = bucket.swap_remove(min);
-        if bucket.is_empty() {
-            occ_clear(&mut self.l0_occ, slot);
-        }
-        self.len -= 1;
         self.cursor = self.cursor.max(slot_start);
-        Some((entry.at, entry.event))
+        self.pop_head(slot)
     }
 
     /// Returns the timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         // Layering invariant: L0 events precede all L1 events, which
         // precede all overflow events, so peek the first non-empty level.
-        let cur_idx = ((self.cursor >> L0_SHIFT) & SLOT_MASK) as usize;
-        if let Some(bucket) = occ_next(&self.l0_occ, cur_idx).and_then(|slot| self.l0.get(slot)) {
-            return bucket.iter().min_by_key(|e| e.key()).map(|e| e.at);
+        if let Some(slot) = occ_next(&self.l0_occ, l0_slot(self.cursor)) {
+            return self.head_time(self.l0.get(slot));
         }
         let c1 = self.cursor >> L1_SHIFT;
-        if let Some(dist) = occ_next_wrap(&self.l1_occ, (c1 & SLOT_MASK) as usize) {
-            let idx = ((c1 + dist as u64) & SLOT_MASK) as usize;
-            return self
-                .l1
-                .get(idx)
-                .and_then(|bucket| bucket.iter().min_by_key(|e| e.key()))
-                .map(|e| e.at);
+        match occ_next_wrap(&self.l1_occ, (c1 & SLOT_MASK) as usize) {
+            Some(dist) => self.min_time(self.l1.get(((c1 + dist as u64) & SLOT_MASK) as usize)),
+            None => self.overflow.peek().map(|e| e.at),
         }
-        self.overflow.peek().map(|e| e.at)
     }
 
     /// Returns the number of pending events.
@@ -437,17 +483,55 @@ impl<E> EventQueue<E> {
     }
 
     /// Drops all pending events, keeping the sequence counter so stability
-    /// is preserved across the clear, and keeping slot capacity so a
-    /// reused queue does not re-allocate.
+    /// is preserved across the clear, and keeping the arena's capacity so
+    /// a reused queue does not re-allocate.
     pub fn clear(&mut self) {
-        for slot in self.l0.iter_mut().chain(self.l1.iter_mut()) {
-            slot.clear();
-        }
+        self.nodes.clear();
+        self.free = NIL;
+        self.l0 = [EMPTY; SLOTS];
+        self.l1 = [EMPTY; SLOTS];
         self.l0_occ = [0; SLOTS / 64];
         self.l1_occ = [0; SLOTS / 64];
         self.overflow.clear();
         self.len = 0;
     }
+}
+
+/// Links node `idx` into `list`: after the tail when `sorted` is off,
+/// else behind every node with a smaller `(time, seq)` key. Events mostly
+/// arrive in key order, so a sorted link is usually an append too;
+/// otherwise the walk starts at the head. Returns `false` (linking
+/// nothing) when `idx` is out of range.
+fn link<E>(nodes: &mut [Node<E>], list: &mut List, idx: u32, sorted: bool) -> bool {
+    let Some(key) = nodes.get(idx as usize).map(Node::key) else {
+        return false;
+    };
+    // Insert after `prev`; `NIL` inserts at the head.
+    let mut prev = NIL;
+    let tail = nodes.get(list.tail as usize);
+    if tail.is_some_and(|tail| !sorted || tail.key() < key) {
+        prev = list.tail;
+    } else {
+        let mut cur = list.head;
+        while let Some(node) = nodes.get(cur as usize) {
+            if node.key() > key {
+                break;
+            }
+            prev = cur;
+            cur = node.next;
+        }
+    }
+    let next = match nodes.get_mut(prev as usize) {
+        Some(before) => std::mem::replace(&mut before.next, idx),
+        None => std::mem::replace(&mut list.head, idx),
+    };
+    if next == NIL {
+        list.tail = idx;
+    }
+    if let Some(node) = nodes.get_mut(idx as usize) {
+        node.next = next;
+    }
+    true
 }
 
 impl<E> Default for EventQueue<E> {
@@ -692,6 +776,49 @@ mod tests {
         assert_eq!(stats.len, 2);
         assert_eq!(stats.overflow_len, 1);
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn arena_reuses_nodes_up_to_the_peak_pending_count() {
+        // A deterministic interleaving across every level: bursts of
+        // schedules (near, mid-window and far-future times, some at the
+        // cursor) alternating with partial drains.
+        let mut q = EventQueue::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut peak = 0;
+        for round in 0..400u64 {
+            for _ in 0..(round % 13) {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let offset_ns = match state >> 62 {
+                    0 => 0,
+                    1 => (state >> 20) % (1 << L0_SHIFT),
+                    2 => (state >> 20) % (1 << (L1_SHIFT + SLOT_BITS)),
+                    _ => (state >> 20) % (1 << 40),
+                };
+                let now = q.peek_time().unwrap_or(SimTime::ZERO);
+                q.schedule(SimTime::from_nanos(now.as_nanos() + offset_ns), round);
+                peak = peak.max(q.len());
+            }
+            for _ in 0..(round % 7) {
+                q.pop();
+            }
+            assert!(q.nodes.len() <= peak, "arena outgrew the pending peak");
+        }
+        assert_eq!(q.nodes.len(), peak, "the arena grows only at a new peak");
+        let mut prev = SimTime::ZERO;
+        while let Some((t, _)) = q.pop() {
+            assert!(t >= prev);
+            prev = t;
+        }
+        assert_eq!(q.nodes.len(), peak, "popping frees nodes, never shrinks");
+        q.schedule(at(1), 0);
+        q.clear();
+        assert!(q.nodes.is_empty(), "clear empties the arena");
+        assert!(q.is_empty());
+        q.schedule(at(2), 7);
+        assert_eq!(q.pop(), Some((at(2), 7)));
     }
 
     #[cfg(feature = "legacy-queue")]

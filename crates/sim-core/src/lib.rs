@@ -7,6 +7,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a stable priority queue of timestamped events,
+//! * [`DueQueue`] — a time-ordered FIFO for work deferred to a due time,
 //! * [`rng`] — seeded, splittable pseudo-random streams plus the
 //!   distributions the workload model draws from.
 //!
@@ -27,11 +28,13 @@
 //! assert_eq!(t, SimTime::ZERO + SimDuration::from_millis(1));
 //! ```
 
+pub mod due;
 pub mod event;
 pub mod rng;
 pub mod time;
 pub mod units;
 
+pub use due::DueQueue;
 #[cfg(feature = "legacy-queue")]
 pub use event::LegacyEventQueue;
 pub use event::{EventQueue, QueueStats};

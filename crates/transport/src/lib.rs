@@ -28,6 +28,7 @@
 pub mod cc;
 pub mod conn_id;
 pub mod duplex;
+mod markers;
 pub mod quic;
 pub mod rtt;
 mod seq_deque;
@@ -37,6 +38,7 @@ pub mod wire;
 
 pub use cc::{CcAlgorithm, CongestionController};
 pub use conn_id::{ConnId, MsgTag};
+pub use markers::Markers;
 pub use rtt::RttEstimator;
 pub use wire::WirePacket;
 

@@ -555,7 +555,7 @@ impl QuicConnection {
                     offset,
                     len,
                     markers,
-                } => self.on_stream_frame(id, offset, len, &markers, now),
+                } => self.on_stream_frame(id, offset, len, markers.as_slice(), now),
                 Frame::Ack { ranges } => self.on_ack(&ranges, now),
                 Frame::MaxData { max } => {
                     self.peer_max_data = self.peer_max_data.max(max);

@@ -29,7 +29,8 @@ mod streams;
 
 pub use connection::{QuicConfig, QuicConnection, QuicEvent};
 
-use crate::conn_id::{ConnId, MsgTag};
+use crate::conn_id::ConnId;
+use crate::markers::Markers;
 
 /// IP + UDP + QUIC short-header overhead per packet, in bytes.
 pub(crate) const QUIC_PACKET_OVERHEAD: u64 = 42;
@@ -84,7 +85,7 @@ pub enum Frame {
         /// Number of bytes.
         len: u64,
         /// Message boundaries ending within `(offset, offset+len]`.
-        markers: Vec<(u64, MsgTag)>,
+        markers: Markers,
     },
     /// Acknowledgement of received packet-number ranges (inclusive),
     /// highest range first.
@@ -141,7 +142,7 @@ mod tests {
                     id: 0,
                     offset: 0,
                     len: 100,
-                    markers: vec![],
+                    markers: Markers::new(),
                 },
                 Frame::Ack {
                     ranges: vec![(0, 3)],

@@ -10,10 +10,11 @@ use std::collections::BTreeMap;
 use h3cdn_sim_core::SimTime;
 
 use crate::conn_id::MsgTag;
+use crate::markers::Markers;
 
 /// A frame-sized slice of stream data: `(offset, len, markers ending
 /// inside the slice)`.
-pub(crate) type StreamSlice = (u64, u64, Vec<(u64, MsgTag)>);
+pub(crate) type StreamSlice = (u64, u64, Markers);
 
 /// Scheduling class of a stream whose priority was never set.
 pub(crate) const DEFAULT_CLASS: u8 = 1;
@@ -107,7 +108,7 @@ impl SendStream {
         *entry = (*entry).max(len);
     }
 
-    fn markers_in(&self, offset: u64, len: u64) -> Vec<(u64, MsgTag)> {
+    fn markers_in(&self, offset: u64, len: u64) -> Markers {
         self.markers
             .range(offset + 1..=offset + len)
             .map(|(&end, &tag)| (end, tag))
@@ -195,7 +196,7 @@ mod tests {
         assert!(markers.is_empty(), "message end not in this fragment");
         let (off, len, markers) = s.take(10_000).unwrap();
         assert_eq!((off, len), (400, 600));
-        assert_eq!(markers, vec![(1000, MsgTag(1))]);
+        assert_eq!(markers.as_slice(), vec![(1000, MsgTag(1))]);
         assert!(s.take(100).is_none());
     }
 

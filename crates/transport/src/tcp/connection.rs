@@ -6,6 +6,7 @@ use h3cdn_sim_core::{SimDuration, SimTime};
 
 use crate::cc::{CcAlgorithm, CongestionController};
 use crate::conn_id::{ConnId, MsgTag};
+use crate::markers::Markers;
 use crate::rtt::RttEstimator;
 use crate::seq_deque::SeqDeque;
 use crate::tcp::TcpSegment;
@@ -93,6 +94,10 @@ struct SentSegment {
 /// comparison is apples-to-apples).
 const DELAYED_ACK: SimDuration = SimDuration::from_millis(25);
 
+/// SACK blocks per segment: the most that 40 bytes of TCP options hold
+/// (RFC 2018).
+const MAX_SACK_BLOCKS: usize = 4;
+
 /// A sans-IO TCP connection endpoint (one side).
 ///
 /// Drive it with [`TcpConnection::on_segment`] and
@@ -164,6 +169,8 @@ pub struct TcpConnection {
 
     events: VecDeque<TcpEvent>,
     retransmit_count: u64,
+    /// Scratch for the segment offsets an ACK or SACK retires.
+    seq_scratch: Vec<u64>,
 }
 
 impl TcpConnection {
@@ -221,6 +228,7 @@ impl TcpConnection {
             delayed_ack_deadline: None,
             events: VecDeque::new(),
             retransmit_count: 0,
+            seq_scratch: Vec::new(),
         }
     }
 
@@ -451,13 +459,13 @@ impl TcpConnection {
             self.need_syn = false;
             self.syn_sent_at = Some(now);
             self.mark_sent_activity(now);
-            return Some(self.segment(true, false, 0, 0, vec![]));
+            return Some(self.segment(true, false, 0, 0, Markers::new()));
         }
         if self.need_syn_ack {
             self.need_syn_ack = false;
             self.syn_ack_sent_at = Some(now);
             self.mark_sent_activity(now);
-            return Some(self.segment(true, true, 0, 0, vec![]));
+            return Some(self.segment(true, true, 0, 0, Markers::new()));
         }
         if self.state != TcpState::Established {
             return None;
@@ -494,7 +502,7 @@ impl TcpConnection {
 
         if self.ack_pending {
             self.ack_pending = false;
-            return Some(self.segment(false, true, self.snd_una, 0, vec![]));
+            return Some(self.segment(false, true, self.snd_una, 0, Markers::new()));
         }
         None
     }
@@ -629,15 +637,18 @@ impl TcpConnection {
                 }
             }
             // Drop acknowledged retransmission intents.
-            let stale_rtx: Vec<u64> = self
-                .rtx_queue
-                .range(..ack)
-                .filter(|(&seq, &len)| seq + len <= ack)
-                .map(|(&seq, _)| seq)
-                .collect();
-            for seq in stale_rtx {
-                self.rtx_queue.remove(&seq);
+            let mut stale_rtx = std::mem::take(&mut self.seq_scratch);
+            stale_rtx.clear();
+            stale_rtx.extend(
+                self.rtx_queue
+                    .range(..ack)
+                    .filter(|(&seq, &len)| seq + len <= ack)
+                    .map(|(&seq, _)| seq),
+            );
+            for seq in &stale_rtx {
+                self.rtx_queue.remove(seq);
             }
+            self.seq_scratch = stale_rtx;
             while self
                 .send_markers
                 .pop_first_if(|end, _| end <= ack)
@@ -685,16 +696,18 @@ impl TcpConnection {
         };
         // 1. Remove segments fully covered by a SACK block: they were
         //    delivered and no longer occupy the pipe.
-        let covered: Vec<u64> = self
-            .in_flight
-            .below(highest_sacked)
-            .filter(|&(seq, seg)| {
-                sack.iter()
-                    .any(|&(lo, hi)| seq >= lo && seq + seg.len <= hi)
-            })
-            .map(|(seq, _)| seq)
-            .collect();
-        for seq in covered {
+        let mut seqs = std::mem::take(&mut self.seq_scratch);
+        seqs.clear();
+        seqs.extend(
+            self.in_flight
+                .below(highest_sacked)
+                .filter(|&(seq, seg)| {
+                    sack.iter()
+                        .any(|&(lo, hi)| seq >= lo && seq + seg.len <= hi)
+                })
+                .map(|(seq, _)| seq),
+        );
+        for &seq in &seqs {
             let Some(seg) = self.in_flight.remove(seq) else {
                 continue;
             };
@@ -711,27 +724,32 @@ impl TcpConnection {
         //    in a full queue is retried within ~an RTT.
         let loss_delay = self.rtt.loss_delay();
         let reorder_window = 3 * self.config.mss;
-        let holes: Vec<u64> = self
-            .in_flight
-            .below(highest_sacked)
-            .filter(|&(seq, seg)| {
-                let end = seq + seg.len;
-                let by_sequence = end <= highest_sacked && highest_sacked - end >= reorder_window;
-                let by_time = end <= highest_sacked && seg.sent_at + loss_delay <= now;
-                (by_sequence || by_time) && (!seg.retransmitted || seg.sent_at + loss_delay <= now)
-            })
-            .map(|(seq, _)| seq)
-            .collect();
-        if holes.is_empty() {
-            return;
-        }
-        for seq in holes {
+        seqs.clear();
+        seqs.extend(
+            self.in_flight
+                .below(highest_sacked)
+                .filter(|&(seq, seg)| {
+                    let end = seq + seg.len;
+                    let by_sequence =
+                        end <= highest_sacked && highest_sacked - end >= reorder_window;
+                    let by_time = end <= highest_sacked && seg.sent_at + loss_delay <= now;
+                    (by_sequence || by_time)
+                        && (!seg.retransmitted || seg.sent_at + loss_delay <= now)
+                })
+                .map(|(seq, _)| seq),
+        );
+        let no_holes = seqs.is_empty();
+        for &seq in &seqs {
             let Some(seg) = self.in_flight.remove(seq) else {
                 continue;
             };
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
             self.rtx_queue.insert(seq, seg.len);
             self.force_rtx_credit += 1;
+        }
+        self.seq_scratch = seqs;
+        if no_holes {
+            return;
         }
         if !self.in_recovery {
             self.in_recovery = true;
@@ -785,7 +803,7 @@ impl TcpConnection {
         }
     }
 
-    fn markers_in_range(&self, seq: u64, len: u64) -> Vec<(u64, MsgTag)> {
+    fn markers_in_range(&self, seq: u64, len: u64) -> Markers {
         self.send_markers
             .between(seq + 1, seq + len)
             .map(|(end, &tag)| (end, tag))
@@ -851,7 +869,7 @@ impl TcpConnection {
         ack_flag: bool,
         seq: u64,
         len: u64,
-        markers: Vec<(u64, MsgTag)>,
+        markers: Markers,
     ) -> TcpSegment {
         TcpSegment {
             conn: self.id,
@@ -868,21 +886,26 @@ impl TcpConnection {
         }
     }
 
-    /// Up to four merged SACK blocks from the out-of-order buffer.
+    /// Up to four merged SACK blocks from the out-of-order buffer. The
+    /// walk stops where a fifth block would start.
     fn sack_blocks(&self) -> Vec<(u64, u64)> {
         let mut blocks: Vec<(u64, u64)> = Vec::new();
         for (&seq, &len) in &self.out_of_order {
             let end = seq + len;
             match blocks.last_mut() {
                 Some(last) if seq <= last.1 => last.1 = last.1.max(end),
-                _ => blocks.push((seq, end)),
+                _ => {
+                    if blocks.len() == MAX_SACK_BLOCKS {
+                        break;
+                    }
+                    blocks.push((seq, end));
+                }
             }
         }
-        blocks.truncate(4);
         blocks
     }
 
-    fn data_segment(&mut self, seq: u64, len: u64, markers: Vec<(u64, MsgTag)>) -> TcpSegment {
+    fn data_segment(&mut self, seq: u64, len: u64, markers: Markers) -> TcpSegment {
         // Data segments carry the cumulative ACK.
         self.ack_pending = false;
         self.segs_since_ack = 0;
@@ -1352,7 +1375,7 @@ mod tests {
             len: 0,
             ack: 0,
             rwnd: 0,
-            markers: vec![],
+            markers: Markers::new(),
             sack: vec![],
         };
         let at = SimTime::ZERO + SimDuration::from_millis(20);
@@ -1371,6 +1394,31 @@ mod tests {
         assert!(closed, "the close must surface as an event");
         assert_eq!(client.next_timeout(), None, "all timers cleared");
         assert!(client.poll_transmit(at).is_none());
+    }
+
+    #[test]
+    fn sack_blocks_merge_then_stop_at_four() {
+        let mut tcp = TcpConnection::server(conn_id(), TcpConfig::default());
+        // Six islands; the fourth absorbs two touching ranges, the
+        // overlapping one included.
+        for (seq, len) in [
+            (100, 10),
+            (200, 10),
+            (300, 10),
+            (400, 10),
+            (410, 20),
+            (425, 10),
+            (500, 10),
+            (600, 10),
+        ] {
+            tcp.out_of_order.insert(seq, len);
+        }
+        assert_eq!(
+            tcp.sack_blocks(),
+            vec![(100, 110), (200, 210), (300, 310), (400, 435)]
+        );
+        tcp.out_of_order.clear();
+        assert!(tcp.sack_blocks().is_empty());
     }
 
     #[test]

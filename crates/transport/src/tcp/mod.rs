@@ -30,7 +30,8 @@ mod connection;
 
 pub use connection::{TcpConfig, TcpConnection, TcpEvent};
 
-use crate::conn_id::{ConnId, MsgTag};
+use crate::conn_id::ConnId;
+use crate::markers::Markers;
 
 /// TCP/IPv4 header overhead per segment, in bytes.
 pub(crate) const TCP_HEADER_BYTES: u64 = 40;
@@ -58,7 +59,7 @@ pub struct TcpSegment {
     /// Sender's advertised receive window.
     pub rwnd: u64,
     /// Message boundaries ending within `[seq, seq+len)`: `(end, tag)`.
-    pub markers: Vec<(u64, MsgTag)>,
+    pub markers: Markers,
     /// SACK blocks: up to four merged `[start, end)` byte ranges the
     /// receiver holds above the cumulative ACK (RFC 2018).
     pub sack: Vec<(u64, u64)>,
@@ -98,7 +99,7 @@ mod tests {
             len: 1000,
             ack: 0,
             rwnd: 65535,
-            markers: vec![],
+            markers: Markers::new(),
             sack: vec![],
         };
         assert_eq!(seg.wire_bytes(), 1040);
@@ -116,7 +117,7 @@ mod tests {
             len: 0,
             ack: 0,
             rwnd: 65535,
-            markers: vec![],
+            markers: Markers::new(),
             sack: vec![],
         };
         assert!(seg.is_data_bearing(), "SYN elicits an ACK");

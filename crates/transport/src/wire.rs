@@ -70,13 +70,22 @@ mod tests {
             len: 100,
             ack: 0,
             rwnd: 1000,
-            markers: vec![],
+            markers: crate::Markers::new(),
             sack: vec![],
         };
         let wire: WirePacket = seg.into();
         assert_eq!(wire.wire_bytes(), 140);
         assert_eq!(wire.conn_id(), conn);
         assert!(wire.from_client());
+    }
+
+    #[test]
+    fn wire_packet_stays_small() {
+        // Every packet is moved through link queues and the event queue
+        // by value, so its size is copied per hop: inline markers may
+        // not grow it past this.
+        let size = std::mem::size_of::<WirePacket>();
+        assert!(size <= 112, "WirePacket grew to {size} bytes");
     }
 
     #[test]

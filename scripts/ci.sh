@@ -17,7 +17,8 @@
 # simulator throughput ratchets (BENCH_sim.json, one row per workload;
 # re-record with
 # `sim_throughput [--population] --smoke --update-baseline BENCH_sim.json --label L`
-# after an intentional perf change), clippy with warnings denied, the
+# after an intentional perf change), the perfbench output-digest gate
+# (one-second campaign and swarm runs at the default seed), clippy with warnings denied, the
 # h3cdn-lint workspace analyzer (determinism / sans-IO / panic ratchet
 # / layering / hot-path reachability / seed plumbing / dead API), and
 # a formatting check.
@@ -156,6 +157,20 @@ begin "sim_throughput --population --smoke --check (generator ratchet)"
 # pages/seed/reps); events = generated requests, so structural drift
 # in the synthetic-web distributions trips the deterministic gate.
 target/release/sim_throughput --population --smoke --check BENCH_sim.json
+finish
+
+begin "perfbench campaign + swarm (simulated-output digest gate)"
+# The repo benchmark builds the workspace crates in a workspace of its
+# own, so the release build above does not cover it. At the default
+# seed each run checks its warm-up pass against the digest recorded in
+# perfbench/expected_digests.txt and exits nonzero on a mismatch or a
+# build break: a change that moves simulated outputs fails here.
+mkdir -p target/ci
+for workload in campaign swarm; do
+    cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 > target/ci/perfbench-"$workload".txt
+    echo "    $workload: $(tail -n 1 target/ci/perfbench-"$workload".txt)"
+done
 finish
 
 begin "cargo clippy -D warnings"
